@@ -122,8 +122,8 @@ def translate_label(
 
 
 def token_sequence_match(
-    tokens_a: list[str],
-    tokens_b: list[str],
+    tokens_a: list,
+    tokens_b: list,
     pair_similarity,
     threshold: float,
 ) -> float | None:
@@ -134,30 +134,60 @@ def token_sequence_match(
     smallest pairwise similarity in the best such cover (None when no
     cover exists). Lists of different lengths never match, which is what
     keeps a lone candidate like "short" from claiming "shortName".
+
+    The best cover is a bottleneck assignment (Gabow & Tarjan 1988): a
+    binary search over the distinct similarities finds the highest floor
+    that still admits a perfect matching, so the cost is polynomial in
+    the list length. Items need not be strings.
     """
     if len(tokens_a) != len(tokens_b) or not tokens_a:
         return None
-    n = len(tokens_a)
     sims = [[pair_similarity(a, b) for b in tokens_b] for a in tokens_a]
+    floors = sorted({s for row in sims for s in row if s >= threshold})
+    if not floors or not _perfect_matching(sims, floors[0]):
+        return None
+    lo, hi = 0, len(floors) - 1  # floors[lo] admits a cover; find the highest that does
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _perfect_matching(sims, floors[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return floors[lo]
 
-    best: float | None = None
-    used = [False] * n
 
-    def assign(i: int, current_min: float) -> None:
-        nonlocal best
-        if i == n:
-            if best is None or current_min > best:
-                best = current_min
-            return
-        for j in range(n):
-            if used[j] or sims[i][j] < threshold:
-                continue
-            used[j] = True
-            assign(i + 1, min(current_min, sims[i][j]))
-            used[j] = False
+def _perfect_matching(sims: list[list[float]], floor: float) -> bool:
+    """Whether every row pairs with a distinct column at similarity >= floor.
 
-    assign(0, 1.0)
-    return best
+    Kuhn's augmenting paths, searched breadth-first so that a long path
+    needs no recursion.
+    """
+    n = len(sims)
+    row_of = [-1] * n  # column -> matched row
+    col_of = [-1] * n  # row -> matched column
+    for root in range(n):
+        reached_from = [-1] * n  # column -> row it was reached from
+        queue = [root]
+        free = -1
+        for row in queue:  # the queue grows while it is read
+            for col in range(n):
+                if reached_from[col] < 0 and sims[row][col] >= floor:
+                    reached_from[col] = row
+                    if row_of[col] < 0:
+                        free = col
+                        break
+                    queue.append(row_of[col])
+            if free >= 0:
+                break
+        if free < 0:
+            return False
+        while free >= 0:  # flip the path; it ends at the root, whose col_of is -1
+            row = reached_from[free]
+            next_free = col_of[row]
+            row_of[free] = row
+            col_of[row] = free
+            free = next_free
+    return True
 
 
 class DictionaryTranslator:

@@ -81,6 +81,9 @@ class ServiceConfig:
 class _Handler(BaseHTTPRequestHandler):
     # store, triples and config live on the server object
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two sends; with Nagle's algorithm the body
+    # waits for the client's delayed ACK on a keep-alive connection
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         self.timeout = self.server.config.request_timeout_ms / 1000.0
@@ -163,6 +166,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True  # the body's extent is unknown
+            self._error(400, "Content-Length must be a non-negative integer")
+            return
+        try:
             text = self.rfile.read(length).decode("utf-8")
             query = parse_query(text)
             if len(query.patterns) > self.server.config.max_query_patterns:
@@ -240,9 +250,11 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
     return ServiceHandle(server, thread)
 
 
-def _get_json(url: str, timeout_ms: int) -> dict:
+def _request_json(request: str | Request, timeout_ms: int) -> dict:
+    """Send a GET (a URL) or any Request and decode the JSON object it returns."""
+    url = request.full_url if isinstance(request, Request) else request
     try:
-        with urlopen(url, timeout=timeout_ms / 1000.0) as resp:
+        with urlopen(request, timeout=timeout_ms / 1000.0) as resp:
             body = resp.read()
     except HTTPError as exc:
         detail = ""
@@ -276,7 +288,7 @@ def client_translate(
     url = f"{endpoint.rstrip('/')}/translate?" + urlencode(
         {"word": word, "from": from_lang, "to": to_lang}
     )
-    return _string_list(_get_json(url, timeout_ms), "translations", url)
+    return _string_list(_request_json(url, timeout_ms), "translations", url)
 
 
 def client_reverse_translate(
@@ -286,7 +298,7 @@ def client_reverse_translate(
     url = f"{endpoint.rstrip('/')}/reverse?" + urlencode(
         {"term": term, "term_lang": term_lang, "entry_lang": entry_lang}
     )
-    return _string_list(_get_json(url, timeout_ms), "headwords", url)
+    return _string_list(_request_json(url, timeout_ms), "headwords", url)
 
 
 def client_sparql(
@@ -300,22 +312,12 @@ def client_sparql(
         headers={"Content-Type": "text/plain; charset=utf-8"},
         method="POST",
     )
-    try:
-        with urlopen(request, timeout=timeout_ms / 1000.0) as resp:
-            body = resp.read()
-    except HTTPError as exc:
-        detail = ""
-        try:
-            detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-        except Exception:
-            pass
-        raise ClientStatusError(exc.code, detail or exc.reason) from exc
-    except (URLError, OSError) as exc:
-        raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
-    try:
-        payload = json.loads(body.decode("utf-8"))
-        head = payload["head"]["vars"]
-        rows = payload["rows"]
-    except Exception as exc:
-        raise ClientPayloadError(f"malformed JSON from {url}: {exc}") from exc
-    return head, rows
+    payload = _request_json(request, timeout_ms)
+    head = payload.get("head")
+    variables = head.get("vars") if isinstance(head, dict) else None
+    rows = payload.get("rows")
+    if not isinstance(variables, list) or not isinstance(rows, list):
+        raise ClientPayloadError(
+            f"fields 'head.vars' and 'rows' missing or malformed in response from {url}"
+        )
+    return variables, rows

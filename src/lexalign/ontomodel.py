@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -206,7 +207,13 @@ def load_ontology(text: str) -> Ontology:
         else:
             onto.warnings.append(f"line {line_no}: unknown predicate {p} ignored")
 
-    _check_acyclic(onto)
+    parents: dict[str, list[str]] = {}
+    for sub_iri, parent_iri in sorted((sub.iri, parent.iri) for sub, parent in onto.subclass_of):
+        parents.setdefault(sub_iri, []).append(parent_iri)
+    try:
+        TopologicalSorter(parents).prepare()
+    except CycleError as exc:
+        raise OntologyError("subclass cycle: " + " -> ".join(exc.args[1])) from None
     return onto
 
 
@@ -217,26 +224,3 @@ def load_ontology_file(path: str | Path) -> Ontology:
     except OSError as exc:
         raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
     return load_ontology(text)
-
-
-def _check_acyclic(onto: Ontology) -> None:
-    children: dict[EntityId, list[EntityId]] = {}
-    for sub, parent in onto.subclass_of:
-        children.setdefault(sub, []).append(parent)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {e: WHITE for e in onto.entities.values()}
-
-    def visit(node: EntityId, stack: list[str]) -> None:
-        color[node] = GRAY
-        for parent in children.get(node, ()):  # walks upward; cycle is a cycle either way
-            if color[parent] == GRAY:
-                raise OntologyError(
-                    f"subclass cycle through {parent.iri} (seen via {' -> '.join(stack)})"
-                )
-            if color[parent] == WHITE:
-                visit(parent, stack + [parent.iri])
-        color[node] = BLACK
-
-    for entity in sorted(onto.entities.values(), key=lambda e: e.iri):
-        if color[entity] == WHITE:
-            visit(entity, [entity.iri])

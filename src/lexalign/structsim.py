@@ -218,6 +218,10 @@ def subclass_rule(
     under the seed or name comparison; strict subsets do not fire.
     """
     matcher = matcher or default_name_matcher()
+
+    def same(a: EntityId, b: EntityId) -> float:
+        return 1.0 if _entities_match(a, b, o1, o2, seed, matcher) else 0.0
+
     out: list[tuple[EntityId, EntityId]] = []
     for c1 in o1.classes():
         subs1 = sorted(o1.direct_subclasses(c1), key=lambda e: e.iri)
@@ -227,35 +231,6 @@ def subclass_rule(
             subs2 = sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)
             if len(subs2) != len(subs1):
                 continue
-            if _perfect_cover(subs1, subs2, o1, o2, seed, matcher):
+            if token_sequence_match(subs1, subs2, same, 1.0) is not None:
                 out.append((c1, c2))
     return out
-
-
-def _perfect_cover(
-    left: list[EntityId],
-    right: list[EntityId],
-    o1: Ontology,
-    o2: Ontology,
-    seed: PairSeed,
-    matcher: NameMatcher,
-) -> bool:
-    n = len(left)
-    edges = [
-        [_entities_match(a, b, o1, o2, seed, matcher) for b in right] for a in left
-    ]
-    used = [False] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or not edges[i][j]:
-                continue
-            used[j] = True
-            if assign(i + 1):
-                return True
-            used[j] = False
-        return False
-
-    return assign(0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional
 
@@ -78,19 +79,7 @@ def lcs(thesaurus: Thesaurus, a: str, b: str) -> Optional[str]:
     common = thesaurus.ancestors_or_self(a) & thesaurus.ancestors_or_self(b)
     if not common:
         return None
-    return max(common, key=lambda sid: (thesaurus.ic[sid], _NegStr(sid)))
-
-
-class _NegStr:
-    """Orders strings descending inside a max(); used for smallest-id ties."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def __lt__(self, other: "_NegStr") -> bool:
-        return self.value > other.value
+    return min(common, key=lambda sid: (-thesaurus.ic[sid], sid))
 
 
 def jcn_similarity(thesaurus: Thesaurus, a: str, b: str) -> float:
@@ -170,14 +159,17 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
                     f"{path.name}:{line_no}: dangling hypernym {hypernym!r} on {synset.id}"
                 )
 
-    _check_dag(synsets, path.name)
+    try:
+        TopologicalSorter({sid: s.hypernyms for sid, s in sorted(synsets.items())}).prepare()
+    except CycleError as exc:
+        raise ThesaurusError(
+            f"{path.name}: hypernym cycle: " + " -> ".join(exc.args[1])
+        ) from None
 
+    thesaurus = Thesaurus(synsets, values)
     if mode == "freq":
-        ic = _ic_from_frequencies(synsets, values, path.name)
-    else:
-        ic = dict(values)
-
-    thesaurus = Thesaurus(synsets, ic)
+        thesaurus.ic = _ic_from_frequencies(thesaurus, values, path.name)
+    ic = thesaurus.ic
     if not thesaurus.roots:
         raise ThesaurusError(f"{path.name}: no root synset")
     for root in thesaurus.roots:
@@ -194,61 +186,24 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
     return thesaurus
 
 
-def _check_dag(synsets: dict[str, Synset], filename: str) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {sid: WHITE for sid in synsets}
-
-    def visit(sid: str) -> None:
-        color[sid] = GRAY
-        for hypernym in synsets[sid].hypernyms:
-            if color[hypernym] == GRAY:
-                raise ThesaurusError(f"{filename}: hypernym cycle through {hypernym}")
-            if color[hypernym] == WHITE:
-                visit(hypernym)
-        color[sid] = BLACK
-
-    for sid in sorted(synsets):
-        if color[sid] == WHITE:
-            visit(sid)
-
-
 def _ic_from_frequencies(
-    synsets: dict[str, Synset], freqs: dict[str, float], filename: str
+    thesaurus: Thesaurus, freqs: dict[str, float], filename: str
 ) -> dict[str, float]:
     for sid, freq in freqs.items():
         if freq < 0:
             raise ThesaurusError(f"{filename}: negative frequency on {sid}")
-    roots = [sid for sid, s in synsets.items() if not s.hypernyms]
-    if len(roots) != 1:
+    if len(thesaurus.roots) != 1:
         raise ThesaurusError(
-            f"{filename}: frequency mode requires exactly one root, found {len(roots)}"
+            f"{filename}: frequency mode requires exactly one root, found {len(thesaurus.roots)}"
         )
 
-    cumulative = {sid: 0.0 for sid in synsets}
-    ancestor_sets: dict[str, frozenset[str]] = {}
-
-    def ancestors_or_self(sid: str) -> frozenset[str]:
-        cached = ancestor_sets.get(sid)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        stack = [sid]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(synsets[current].hypernyms)
-        result = frozenset(seen)
-        ancestor_sets[sid] = result
-        return result
-
+    cumulative = {sid: 0.0 for sid in thesaurus.synsets}
     for sid, freq in freqs.items():
-        for ancestor in ancestors_or_self(sid):
+        for ancestor in thesaurus.ancestors_or_self(sid):
             cumulative[ancestor] += freq
 
-    total = cumulative[roots[0]]
+    total = cumulative[thesaurus.roots[0]]
     if total <= 0:
         raise ThesaurusError(f"{filename}: total frequency must be positive")
     return {sid: -math.log(cumulative[sid] / total) if cumulative[sid] > 0 else math.inf
-            for sid in synsets}
+            for sid in thesaurus.synsets}

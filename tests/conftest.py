@@ -170,6 +170,21 @@ def random_query(store: TripleStore, rng: random.Random, max_patterns: int = 4) 
     return Query(tuple(select), tuple(patterns), limit)
 
 
+def brute_force_bottleneck_cover(tokens_a, tokens_b, pair_similarity, threshold):
+    """Largest smallest-pair similarity over every complete one-to-one
+    cover with all pairs >= threshold, trying each permutation of
+    tokens_b; None when the lists differ in length, are empty or have no
+    such cover. Short lists only."""
+    if len(tokens_a) != len(tokens_b) or not tokens_a:
+        return None
+    best = None
+    for perm in itertools.permutations(tokens_b):
+        sims = [pair_similarity(a, b) for a, b in zip(tokens_a, perm)]
+        if min(sims) >= threshold and (best is None or min(sims) > best):
+            best = min(sims)
+    return best
+
+
 @lru_cache(maxsize=None)
 def _global_alignment(a: str, b: str, scoring: SwScoring) -> int:
     """Plain recursive Needleman-Wunsch score of two whole strings."""

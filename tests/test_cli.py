@@ -151,6 +151,35 @@ def test_data_error_exit_code_2(tmp_path, capsys):
     assert "missing table file" in err
 
 
+def test_match_on_cyclic_ontology_exit_code_2(tmp_path, capsys):
+    # a 3000-long subclass cycle: a data error, not a recursion overflow
+    rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+    owl_class = "http://www.w3.org/2002/07/owl#Class"
+    sub_class_of = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
+    ex = "http://example.org/c#"
+    depth = 3000
+    triples = [f"<{ex}C{i}> <{rdf_type}> <{owl_class}> ." for i in range(depth)]
+    triples += [f"<{ex}C{i}> <{sub_class_of}> <{ex}C{(i + 1) % depth}> ." for i in range(depth)]
+    cyclic = tmp_path / "cyclic.nt"
+    cyclic.write_text("\n".join(triples) + "\n", "utf-8")
+    code, _, err = run(
+        capsys,
+        "match",
+        str(cyclic),
+        str(FIXTURES / "biblio_en.nt"),
+        "--store",
+        str(FIXTURES / "biblio_dict"),
+        "--from",
+        "fr",
+        "--to",
+        "en",
+        "-o",
+        str(tmp_path / "alignment.tsv"),
+    )
+    assert code == 2
+    assert "cycle" in err
+
+
 def test_eval_bad_file_exit_code_2(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tb\t1.5\n", "utf-8")

@@ -1,8 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, brute_force_bottleneck_cover
 from lexalign.labelkit import (
     DictionaryTranslator,
     EndpointTranslator,
@@ -159,3 +162,43 @@ def test_token_sequence_match_returns_weakest_link():
 
     score = token_sequence_match(["a", "b"], ["a", "x"], sim, 0.9)
     assert score == 0.92
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "ab", "abc", "b", "nam", "name", "names", "short"]), max_size=5)
+_THRESHOLDS = st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKENS, _TOKENS, _THRESHOLDS)
+def test_token_sequence_match_equals_permutation_oracle(tokens_a, tokens_b, threshold):
+    assert token_sequence_match(
+        tokens_a, tokens_b, jaro_winkler, threshold
+    ) == brute_force_bottleneck_cover(tokens_a, tokens_b, jaro_winkler, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.95, 1.0]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    _THRESHOLDS,
+)
+def test_token_sequence_match_on_tied_similarities_equals_oracle(matrix, threshold):
+    def sim(i, j):
+        return matrix[i][j]
+
+    rows = list(range(len(matrix)))
+    assert token_sequence_match(rows, rows, sim, threshold) == brute_force_bottleneck_cover(
+        rows, rows, sim, threshold
+    )
+
+
+def test_token_sequence_match_on_repeated_tokens_is_polynomial():
+    start = time.perf_counter()
+    assert token_sequence_match(["a"] * 12, ["a"] * 12, jaro_winkler, 0.9) == 1.0
+    assert token_sequence_match(["a"] * 11 + ["b"], ["a"] * 12, jaro_winkler, 0.9) is None
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,8 @@
+import http.client
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.error import HTTPError
@@ -123,12 +125,17 @@ def test_unreachable_endpoint_is_transport_error():
 
 
 class _GarbageHandler(BaseHTTPRequestHandler):
+    """Answers 200 to GET and POST with a body that is not JSON or, under
+    /wrong-shape/, with JSON that lacks every expected field."""
+
     def do_GET(self):
-        body = b"this is not json"
+        body = b'{"rows": []}' if self.path.startswith("/wrong-shape/") else b"this is not json"
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    do_POST = do_GET
 
     def log_message(self, *args):
         pass
@@ -139,12 +146,49 @@ def test_malformed_json_is_payload_error():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        port = server.server_address[1]
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
         with pytest.raises(ClientPayloadError):
-            client_translate(f"http://127.0.0.1:{port}", "w", "en", "fr")
+            client_translate(endpoint, "w", "en", "fr")
+        with pytest.raises(ClientPayloadError):
+            client_sparql(endpoint, "SELECT ?a WHERE { ?a ?b ?c . }")
+        with pytest.raises(ClientPayloadError):
+            client_translate(endpoint + "/wrong-shape", "w", "en", "fr")
+        with pytest.raises(ClientPayloadError):
+            client_sparql(endpoint + "/wrong-shape", "SELECT ?a WHERE { ?a ?b ?c . }")
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400(idioms_service, length):
+    conn = http.client.HTTPConnection(idioms_service.host, idioms_service.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/sparql")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+    finally:
+        conn.close()
+
+
+def test_keep_alive_requests_are_not_delayed(idioms_service, idioms_store):
+    # ten GETs on one connection: a delayed-ACK stall would add ~40 ms each
+    expected = idioms_store.translations("rain cats and dogs", "en", "fr")
+    conn = http.client.HTTPConnection(idioms_service.host, idioms_service.port, timeout=5)
+    try:
+        start = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/translate?word=rain+cats+and+dogs&from=en&to=fr")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["translations"] == expected
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.2
 
 
 def test_concurrent_identical_requests_identical_bodies(idioms_service):

@@ -200,3 +200,28 @@ def test_declaration_order_does_not_matter():
 def test_load_ontology_file_missing(tmp_path):
     with pytest.raises(OntologyError, match="cannot read"):
         load_ontology_file(tmp_path / "missing.nt")
+
+
+def subclass_chain(depth, closed=False):
+    """C0 below C1 below ... below C<depth>; closed adds C<depth> below C0."""
+    triples = [clazz(f"C{i}") for i in range(depth + 1)]
+    triples += [f"<{EX}C{i}> <{SUBCLASS}> <{EX}C{i + 1}> ." for i in range(depth)]
+    if closed:
+        triples.append(f"<{EX}C{depth}> <{SUBCLASS}> <{EX}C0> .")
+    return lines(*triples)
+
+
+def test_deep_subclass_chain_loads():
+    onto = load_ontology(subclass_chain(3000))
+    assert len(onto.subclass_of) == 3000
+
+
+def test_deep_subclass_cycle_is_error():
+    with pytest.raises(OntologyError, match="cycle") as err:
+        load_ontology(subclass_chain(3000, closed=True))
+    assert f"{EX}C1500" in str(err.value)
+
+
+def test_subclass_self_loop_is_error():
+    with pytest.raises(OntologyError, match=f"cycle: {EX}A -> {EX}A"):
+        load_ontology(lines(clazz("A"), f"<{EX}A> <{SUBCLASS}> <{EX}A> ."))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from lexalign.ontomodel import load_ontology
@@ -204,3 +206,15 @@ def test_subclass_rule_uses_seed():
     seed = {(EX1 + "x1", EX2 + "y1"), (EX1 + "x2", EX2 + "y2")}
     pairs = subclass_rule(o1, o2, seed)
     assert {(a.local_name(), b.local_name()) for a, b in pairs} == {("P", "Q")}
+
+
+def test_subclass_rule_without_perfect_cover_returns_promptly():
+    # every left subclass matches all right ones but "z", so "z" is left
+    # over and no cover exists; a search over permutations needs minutes
+    lefts = [f"x{i}" for i in range(12)]
+    rights = [f"y{i}" for i in range(11)] + ["z"]
+    o1 = build(EX1, classes=["P", *lefts], subclasses=[(x, "P") for x in lefts])
+    o2 = build(EX2, classes=["Q", *rights], subclasses=[(y, "Q") for y in rights])
+    start = time.perf_counter()
+    assert subclass_rule(o1, o2, set(), matcher=lambda a, b: b != "z") == []
+    assert time.perf_counter() - start < 1.0

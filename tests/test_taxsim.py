@@ -43,17 +43,32 @@ def test_lcs_unknown_synset(thesaurus):
         lcs(thesaurus, "school-1", "nope-9")
 
 
-def test_lcs_matches_reachability_oracle(thesaurus):
-    ids = sorted(thesaurus.synsets)
-    for a in ids:
-        for b in ids:
-            result = lcs(thesaurus, a, b)
-            common = thesaurus.ancestors_or_self(a) & thesaurus.ancestors_or_self(b)
-            if not common:
-                assert result is None
-            else:
-                assert result in common
-                assert thesaurus.ic[result] == max(thesaurus.ic[c] for c in common)
+def test_lcs_matches_reachability_oracle(thesaurus, tmp_path):
+    # p1 and p2 are common subsumers of a and b with equal IC
+    tied = load_thesaurus(
+        write_thesaurus(
+            tmp_path,
+            [
+                ("r", "root", "", "0.0", "ic"),
+                ("p2", "second", "r", "1.0", "ic"),
+                ("p1", "first", "r", "1.0", "ic"),
+                ("a", "apple", "p2|p1", "2.0", "ic"),
+                ("b", "brick", "p1|p2", "2.0", "ic"),
+            ],
+        )
+    )
+    assert lcs(tied, "a", "b") == "p1"
+    for th in (thesaurus, tied):
+        ids = sorted(th.synsets)
+        for a in ids:
+            for b in ids:
+                result = lcs(th, a, b)
+                common = th.ancestors_or_self(a) & th.ancestors_or_self(b)
+                if not common:
+                    assert result is None
+                else:
+                    best = max(th.ic[c] for c in common)
+                    assert result == min(c for c in common if th.ic[c] == best)
 
 
 def test_lcs_disjoint_trees(tmp_path):
@@ -202,3 +217,29 @@ def test_ic_monotonicity_violation_rejected(tmp_path):
 def test_empty_words_rejected(tmp_path):
     with pytest.raises(ThesaurusError, match="no words"):
         load_thesaurus(write_thesaurus(tmp_path, [("r", "", "", "0.0", "ic")]))
+
+
+def hypernym_chain(depth, closed=False):
+    """IC-mode rows of a chain from the root s<depth> down to the leaf
+    s0000, whose id sorts first; closed makes the leaf the root's hypernym."""
+    ids = [f"s{depth - level:04d}" for level in range(depth + 1)]
+    rows = [(ids[0], "w0", ids[-1] if closed else "", "0.0", "ic")]
+    rows += [(ids[i], f"w{i}", ids[i - 1], f"{i}.0", "ic") for i in range(1, depth + 1)]
+    return rows
+
+
+def test_deep_hypernym_chain_loads(tmp_path):
+    th = load_thesaurus(write_thesaurus(tmp_path, hypernym_chain(3000)))
+    assert th.roots == ["s3000"]
+    assert lcs(th, "s0000", "s0001") == "s0001"
+
+
+def test_deep_hypernym_cycle_rejected(tmp_path):
+    with pytest.raises(ThesaurusError, match="cycle") as err:
+        load_thesaurus(write_thesaurus(tmp_path, hypernym_chain(3000, closed=True)))
+    assert "s1500" in str(err.value)
+
+
+def test_hypernym_self_loop_rejected(tmp_path):
+    with pytest.raises(ThesaurusError, match="cycle: a -> a"):
+        load_thesaurus(write_thesaurus(tmp_path, [("a", "a", "a", "0.0", "ic")]))
