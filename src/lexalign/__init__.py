@@ -32,6 +32,6 @@ from .sparqlet import Query, ResultTable, evaluate as evaluate_query, parse_quer
 from .strsim import SwScoring, jaro, jaro_winkler, smith_waterman, sw_normalized
 from .structsim import ExpansionConfig, WeightedTree, expand_tree, subclass_rule, tree_similarity, triple_rule
 from .taxsim import JCN_MAX, Thesaurus, jcn_similarity, lcs, lexical_match, load_thesaurus
-from .triplemap import TripleStore, to_triples
+from .triplemap import to_triples
 
 __version__ = "0.1.0"

@@ -11,33 +11,10 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import LexalignError
-
-TABLE_NAMES = (
-    "language",
-    "page",
-    "lang_pos",
-    "meaning",
-    "translation",
-    "translation_entry",
-    "wiki_text",
-)
-
-# columns per table, in file order
-_TABLE_COLUMNS = {
-    "language": 3,
-    "page": 2,
-    "lang_pos": 3,
-    "meaning": 2,
-    "translation": 3,
-    "translation_entry": 4,
-    "wiki_text": 2,
-}
-
-# filled in below, after the row dataclasses exist
-_TABLE_TYPES: dict[str, type] = {}
 
 
 class DictionaryError(LexalignError):
@@ -103,15 +80,18 @@ class WikiTextRow:
     text: str
 
 
-_TABLE_TYPES.update(
-    language=LanguageRow,
-    page=PageRow,
-    lang_pos=LangPosRow,
-    meaning=MeaningRow,
-    translation=TranslationRow,
-    translation_entry=TranslationEntryRow,
-    wiki_text=WikiTextRow,
-)
+# table name -> (row type, DictionaryStore field); the row type's fields
+# are the table's columns in file order, the first one its key
+TABLES: dict[str, tuple[type, str]] = {
+    "language": (LanguageRow, "languages"),
+    "page": (PageRow, "pages"),
+    "lang_pos": (LangPosRow, "lang_pos"),
+    "meaning": (MeaningRow, "meanings"),
+    "translation": (TranslationRow, "translation_rows"),
+    "translation_entry": (TranslationEntryRow, "translation_entries"),
+    "wiki_text": (WikiTextRow, "wiki_texts"),
+}
+TABLE_NAMES = tuple(TABLES)
 
 
 @dataclass(frozen=True)
@@ -136,6 +116,15 @@ class DictionaryStore:
 
     def __post_init__(self) -> None:
         self._build_indexes()
+
+    @classmethod
+    def from_tables(cls, tables: dict[str, dict[int, object]]) -> DictionaryStore:
+        """A store over the row tables named as in TABLES."""
+        return cls(**{attr: tables[name] for name, (_, attr) in TABLES.items()})
+
+    def tables(self) -> dict[str, dict[int, object]]:
+        """The row tables by table name, in TABLES order."""
+        return {name: getattr(self, attr) for name, (_, attr) in TABLES.items()}
 
     def _build_indexes(self) -> None:
         self._lang_by_code: dict[str, LanguageRow] = {}
@@ -279,27 +268,74 @@ class DictionaryStore:
                 )
 
 
-def _parse_table(path: Path, columns: int) -> list[tuple[int, list[str]]]:
-    rows = []
+def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> dict[int, object]:
+    """Build table `name` from its records (lists of cells), keyed by id.
+
+    Every source gets the same checks: the column count, each cell's
+    type (int or str, as the row type declares) and unique ids; a
+    failure raises IngestError naming record i as `where` + i, from 1.
+    With `text`, cells are strings, as the TSV files hold them, and
+    integer columns are parsed first.
+    """
+    row_type = TABLES[name][0]
+    field_list = fields(row_type)
+    types = [int if f.type == "int" else str for f in field_list]
+    if text:
+        records = [_parse_ints(cells, types) for cells in records]
+    # checked a column at a time, which keeps a snapshot load fast; exact
+    # types, since a JSON true is a Python int
+    if (
+        set(map(type, records)) - {list}
+        or set(map(len, records)) - {len(types)}
+        or any(set(map(type, map(itemgetter(j), records))) - {t} for j, t in enumerate(types))
+    ):
+        for i, cells in enumerate(records, start=1):
+            if fault := _row_fault(field_list, types, cells):
+                raise IngestError(f"{where}{i}: {fault}")
+    rows = {cells[0]: row_type(*cells) for cells in records}
+    if len(rows) != len(records):
+        seen = set()
+        for i, cells in enumerate(records, start=1):
+            if cells[0] in seen:
+                raise IngestError(f"{where}{i}: duplicate {field_list[0].name} {cells[0]}")
+            seen.add(cells[0])
+    return rows
+
+
+def _parse_ints(cells: list[str], types: list[type]) -> list:
+    """Text cells with each integer column parsed; a cell that is no
+    integer, or a row of the wrong length, is left for the checks."""
+    if len(cells) != len(types):
+        return cells
+    return [_parse_int(v) if t is int else v for v, t in zip(cells, types)]
+
+
+def _parse_int(value: str) -> int | str:
+    try:
+        return int(value)
+    except ValueError:
+        return value
+
+
+def _row_fault(field_list, types: list[type], cells: object) -> str | None:
+    if type(cells) is not list or len(cells) != len(types):
+        got = len(cells) if type(cells) is list else repr(cells)
+        return f"expected {len(types)} columns, got {got}"
+    for f, t, value in zip(field_list, types, cells):
+        if type(value) is not t:
+            return f"{f.name} is not {'an integer' if t is int else 'a string'}: {value!r}"
+    return None
+
+
+def _tsv_records(path: Path) -> list[list[str]]:
+    records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 raise IngestError(f"{path.name}:{line_no}: blank line")
-            cells = line.split("\t")
-            if len(cells) != columns:
-                raise IngestError(
-                    f"{path.name}:{line_no}: expected {columns} columns, got {len(cells)}"
-                )
-            rows.append((line_no, cells))
-    return rows
-
-
-def _int_cell(path: Path, line_no: int, value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise IngestError(f"{path.name}:{line_no}: {what} is not an integer: {value!r}") from None
+            records.append(line.split("\t"))
+    return records
 
 
 def ingest_tables(directory: str | Path) -> DictionaryStore:
@@ -309,40 +345,12 @@ def ingest_tables(directory: str | Path) -> DictionaryStore:
     IngestError naming the file and line.
     """
     directory = Path(directory)
-    raw: dict[str, list[tuple[int, list[str]]]] = {}
-    for name in TABLE_NAMES:
-        path = directory / f"{name}.tsv"
+    paths = {name: directory / f"{name}.tsv" for name in TABLE_NAMES}
+    for path in paths.values():
         if not path.is_file():
             raise IngestError(f"missing table file: {path}")
-        raw[name] = _parse_table(path, _TABLE_COLUMNS[name])
-
-    tables: dict[str, dict[int, object]] = {}
-    for name in TABLE_NAMES:
-        path = directory / f"{name}.tsv"
-        row_type = _TABLE_TYPES[name]
-        field_list = fields(row_type)
-        key_name = field_list[0].name
-        rows: dict[int, object] = {}
-        for line_no, cells in raw[name]:
-            values = [
-                _int_cell(path, line_no, cell, f.name) if f.type == "int" else cell
-                for cell, f in zip(cells, field_list)
-            ]
-            row = row_type(*values)
-            key = values[0]
-            if key in rows:
-                raise IngestError(f"{path.name}:{line_no}: duplicate {key_name} {key}")
-            rows[key] = row
-        tables[name] = rows
-
-    store = DictionaryStore(
-        languages=tables["language"],
-        pages=tables["page"],
-        lang_pos=tables["lang_pos"],
-        meanings=tables["meaning"],
-        translation_rows=tables["translation"],
-        translation_entries=tables["translation_entry"],
-        wiki_texts=tables["wiki_text"],
+    store = DictionaryStore.from_tables(
+        {name: parse_rows(name, _tsv_records(path), f"{path.name}:") for name, path in paths.items()}
     )
     store.verify_integrity()
     return store
@@ -351,44 +359,30 @@ def ingest_tables(directory: str | Path) -> DictionaryStore:
 def save_snapshot(store: DictionaryStore, path: str | Path) -> None:
     """Serialize the store to a single JSON file (the CLI's store format)."""
     payload = {
-        "language": [[r.lang_id, r.lang_code, r.lang_name] for r in store.languages.values()],
-        "page": [[r.page_id, r.page_title] for r in store.pages.values()],
-        "lang_pos": [[r.lang_pos_id, r.page_id, r.lang_id] for r in store.lang_pos.values()],
-        "meaning": [[r.meaning_id, r.lang_pos_id] for r in store.meanings.values()],
-        "translation": [
-            [r.translation_id, r.lang_pos_id, r.meaning_id] for r in store.translation_rows.values()
-        ],
-        "translation_entry": [
-            [r.translation_entry_id, r.translation_id, r.lang_id, r.wiki_text_id]
-            for r in store.translation_entries.values()
-        ],
-        "wiki_text": [[r.wiki_text_id, r.text] for r in store.wiki_texts.values()],
+        name: [[getattr(row, f.name) for f in fields(row)] for row in rows.values()]
+        for name, rows in store.tables().items()
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
 
 
 def load_snapshot(path: str | Path) -> DictionaryStore:
+    """Load a save_snapshot file with the row checks of ingest_tables."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read store snapshot {path}: {exc}") from exc
-    try:
-        store = DictionaryStore(
-            languages={r[0]: LanguageRow(*r) for r in payload["language"]},
-            pages={r[0]: PageRow(*r) for r in payload["page"]},
-            lang_pos={r[0]: LangPosRow(*r) for r in payload["lang_pos"]},
-            meanings={r[0]: MeaningRow(*r) for r in payload["meaning"]},
-            translation_rows={r[0]: TranslationRow(*r) for r in payload["translation"]},
-            translation_entries={
-                r[0]: TranslationEntryRow(*r) for r in payload["translation_entry"]
-            },
-            wiki_texts={r[0]: WikiTextRow(*r) for r in payload["wiki_text"]},
-        )
-    except (KeyError, TypeError) as exc:
-        raise IngestError(f"malformed store snapshot {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise IngestError(f"malformed store snapshot {path}: not a JSON object")
+    tables = {}
+    for name in TABLE_NAMES:
+        rows = payload.get(name)
+        if not isinstance(rows, list):
+            raise IngestError(f"malformed store snapshot {path}: table {name!r} is not a list")
+        tables[name] = parse_rows(name, rows, f"{path.name}: {name} row ", text=False)
+    store = DictionaryStore.from_tables(tables)
     store.verify_integrity()
     return store
 

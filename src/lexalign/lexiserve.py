@@ -186,6 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"head": {"vars": result.header}, "rows": [list(r) for r in result.rows]})
         except QueryParseError as exc:
             self._error(400, str(exc))
+        except UnicodeDecodeError as exc:
+            self._error(400, f"query is not UTF-8: {exc}")
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("sparql request failed")
             self._error(500, str(exc))

@@ -29,8 +29,8 @@ from .triplemap import (
     DEFAULT_PREFIXES,
     Literal,
     PrefixedName,
+    TableGraph,
     Term,
-    TripleStore,
     Variable,
     render,
 )
@@ -256,7 +256,7 @@ def _bound_count(pattern: TriplePattern) -> int:
     )
 
 
-def plan_order(query: Query, store: TripleStore | None = None) -> list[TriplePattern]:
+def plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePattern]:
     """Patterns reordered by ascending estimated match count.
 
     More bound terms first; ties broken by the actual index cardinality
@@ -282,7 +282,7 @@ def plan_order(query: Query, store: TripleStore | None = None) -> list[TriplePat
 
 
 def _match_pattern(
-    pattern: TriplePattern, binding: dict[str, Term], store: TripleStore
+    pattern: TriplePattern, binding: dict[str, Term], store: TableGraph
 ) -> list[dict[str, Term]]:
     def resolve(term: Term) -> Term | None:
         if isinstance(term, Variable):
@@ -312,7 +312,7 @@ def _match_pattern(
     return extensions
 
 
-def evaluate(query: Query, store: TripleStore) -> ResultTable:
+def evaluate(query: Query, store: TableGraph) -> ResultTable:
     """Solve the conjunctive pattern, project, sort rows, apply LIMIT."""
     solutions: list[dict[str, Term]] = [{}]
     for pattern in plan_order(query, store):

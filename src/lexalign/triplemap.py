@@ -1,26 +1,19 @@
-"""Forward mapping of the dictionary tables into an in-memory RDF view.
+"""The dictionary tables presented as a read-only RDF graph.
 
-Each table row becomes one subject node `wikpa:<table>/<id>` with one
-triple per column. Key columns map to integer-valued plain literals,
-text columns to text literals. The store keeps SPO/POS/OSP indexes and
-is immutable once built.
+Each table row is one subject node `wikpa:<table>/<id>` with one triple
+per column. Key columns map to integer-valued plain literals, text
+columns to text literals. Triples are not stored: each lookup decodes
+the subject to a row and the predicate to a column, and answers from the
+tables (the "virtual RDF graph" of D2RQ, Bizer & Seaborne, ISWC 2004).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Optional, Union
 
-from .dictstore import (
-    DictionaryStore,
-    LangPosRow,
-    LanguageRow,
-    MeaningRow,
-    PageRow,
-    TranslationEntryRow,
-    TranslationRow,
-    WikiTextRow,
-)
+from .dictstore import TABLES, DictionaryStore, parse_rows
 from .errors import LexalignError
 
 WIKPA_PREFIX = "wikpa"
@@ -101,91 +94,6 @@ def _sort_key(triple: Triple) -> tuple[str, str, str]:
     return (render(triple.subject), render(triple.predicate), render(triple.object))
 
 
-class TripleStore:
-    """A duplicate-free triple set with SPO, POS and OSP indexes."""
-
-    def __init__(self, triples: Iterable[Triple], prefixes: dict[str, str] | None = None):
-        self.prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-        self._triples: set[Triple] = set(triples)
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
-        for t in self._triples:
-            self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-            self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-            self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
-
-    def expand(self, term: Term) -> Term:
-        return expand(term, self.prefixes)
-
-    def lookup(
-        self,
-        s: Optional[Term] = None,
-        p: Optional[Term] = None,
-        o: Optional[Term] = None,
-    ) -> list[Triple]:
-        """All triples matching the bound positions, byte-order sorted.
-
-        Prefixed names are expanded against the store's prefix table
-        before matching; None leaves a position unbound.
-        """
-        s = self.expand(s) if s is not None else None
-        p = self.expand(p) if p is not None else None
-        o = self.expand(o) if o is not None else None
-        result: Iterable[Triple]
-        if s is not None and p is not None and o is not None:
-            # consult the index rather than constructing a Triple: bound
-            # values may be literals in positions no stored triple allows
-            if o in self._spo.get(s, {}).get(p, ()):
-                result = [Triple(s, p, o)]
-            else:
-                result = []
-        elif s is not None and p is not None:
-            result = (Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ()))
-        elif p is not None and o is not None:
-            result = (Triple(sub, p, o) for sub in self._pos.get(p, {}).get(o, ()))
-        elif s is not None and o is not None:
-            result = (Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ()))
-        elif s is not None:
-            result = (
-                Triple(s, pred, obj)
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
-            )
-        elif p is not None:
-            result = (
-                Triple(sub, p, obj)
-                for obj, subs in self._pos.get(p, {}).items()
-                for sub in subs
-            )
-        elif o is not None:
-            result = (
-                Triple(sub, pred, o)
-                for sub, preds in self._osp.get(o, {}).items()
-                for pred in preds
-            )
-        else:
-            result = self._triples
-        return sorted(result, key=_sort_key)
-
-    def count(self, s: Optional[Term] = None, p: Optional[Term] = None, o: Optional[Term] = None) -> int:
-        return len(self.lookup(s, p, o))
-
-
-def _subject(table: str, row_id: int) -> Iri:
-    return Iri(f"{WIKPA_BASE}{table}/{row_id}")
-
-
-def _pred(name: str) -> Iri:
-    return Iri(WIKPA_BASE + name)
-
-
 # column order mirrors the TSV files
 TABLE_PREDICATES = {
     "language": ("lang_id", "lang_code", "lang_name"),
@@ -203,43 +111,130 @@ TABLE_PREDICATES = {
 }
 
 
-def to_triples(store: DictionaryStore) -> TripleStore:
-    """Map every table row to triples under the `wikpa:` vocabulary."""
-    triples: list[Triple] = []
+class _Column:
+    """One predicate: the table it reads, the row field it reads, and its
+    value index (literal text -> row ids in subject byte order)."""
 
-    def emit(table: str, row_id: int, values: tuple) -> None:
-        subject = _subject(table, row_id)
-        for pred_name, value in zip(TABLE_PREDICATES[table], values):
-            triples.append(Triple(subject, _pred(pred_name), Literal(str(value))))
+    def __init__(self, table: str, rows: dict[int, object], field_name: str, ids: list[int]):
+        self.rows = rows
+        self.subject_prefix = f"{WIKPA_BASE}{table}/"
+        self.cell = attrgetter(field_name)
+        self.ids = ids
+        self.values: dict[str, list[int]] = {}
+        for row_id in ids:
+            self.values.setdefault(str(self.cell(rows[row_id])), []).append(row_id)
 
-    for r in store.languages.values():
-        emit("language", r.lang_id, (r.lang_id, r.lang_code, r.lang_name))
-    for r in store.pages.values():
-        emit("page", r.page_id, (r.page_id, r.page_title))
-    for r in store.lang_pos.values():
-        emit("lang_pos", r.lang_pos_id, (r.lang_pos_id, r.page_id, r.lang_id))
-    for r in store.meanings.values():
-        emit("meaning", r.meaning_id, (r.meaning_id, r.lang_pos_id))
-    for r in store.translation_rows.values():
-        emit("translation", r.translation_id, (r.translation_id, r.lang_pos_id, r.meaning_id))
-    for r in store.translation_entries.values():
-        emit(
-            "translation_entry",
-            r.translation_entry_id,
-            (r.translation_entry_id, r.translation_id, r.lang_id, r.wiki_text_id),
-        )
-    for r in store.wiki_texts.values():
-        emit("wiki_text", r.wiki_text_id, (r.wiki_text_id, r.text))
-    return TripleStore(triples)
+    def subject(self, row_id: int) -> Iri:
+        return Iri(self.subject_prefix + str(row_id))
+
+    def row(self, subject: Term) -> object | None:
+        """The row a subject IRI `wikpa:<table>/<id>` names in this table."""
+        if not isinstance(subject, Iri) or not subject.value.startswith(self.subject_prefix):
+            return None
+        id_text = subject.value[len(self.subject_prefix) :]
+        try:
+            row_id = int(id_text)
+        except ValueError:
+            return None
+        if str(row_id) != id_text:  # one spelling per id: no "01", "+1" or " 1"
+            return None
+        return self.rows.get(row_id)
 
 
-def to_tables(triples: TripleStore) -> DictionaryStore:
-    """Rebuild the dictionary tables from a mapped TripleStore.
+class TableGraph:
+    """The dictionary tables seen as RDF, without copying them.
+
+    Each row is the subject `wikpa:<table>/<id>` of one triple per
+    column, whose object is the cell's text as a plain literal. Triples
+    are computed from the rows on each lookup; the only data kept beside
+    the tables is one value index per predicate, built here. Nothing is
+    written after construction, so concurrent readers are safe.
+    """
+
+    def __init__(self, store: DictionaryStore):
+        self._columns: dict[str, _Column] = {}  # predicate IRI -> column
+        for table, rows in store.tables().items():
+            ids = sorted(rows, key=str)  # subject byte order
+            for pred_name, f in zip(TABLE_PREDICATES[table], fields(TABLES[table][0]), strict=True):
+                self._columns[WIKPA_BASE + pred_name] = _Column(table, rows, f.name, ids)
+
+    def __len__(self) -> int:
+        return self.count()
+
+    def expand(self, term: Term) -> Term:
+        return expand(term, DEFAULT_PREFIXES)
+
+    def _column(self, p: Term) -> _Column | None:
+        return self._columns.get(p.value) if isinstance(p, Iri) else None
+
+    def lookup(
+        self,
+        s: Optional[Term] = None,
+        p: Optional[Term] = None,
+        o: Optional[Term] = None,
+    ) -> list[Triple]:
+        """All triples matching the bound positions, byte-order sorted.
+
+        Prefixed names are expanded against the `wikpa:` prefix before
+        matching; None leaves a position unbound. A term no triple can
+        hold in its position matches nothing.
+        """
+        s = self.expand(s) if s is not None else None
+        o = self.expand(o) if o is not None else None
+        if p is None:
+            found = [t for pred in self._columns for t in self._match(s, Iri(pred), o)]
+            return sorted(found, key=_sort_key)
+        return self._match(s, self.expand(p), o)
+
+    def _match(self, s: Term | None, p: Term, o: Term | None) -> list[Triple]:
+        """lookup() with the predicate bound; already in byte order, since
+        one predicate gives each subject one object."""
+        column = self._column(p)
+        if column is None or (o is not None and not isinstance(o, Literal)):
+            return []
+        if s is not None:
+            row = column.row(s)
+            if row is None:
+                return []
+            text = str(column.cell(row))
+            if o is None:
+                return [Triple(s, p, Literal(text))]
+            return [Triple(s, p, o)] if text == o.text else []
+        if o is not None:
+            return [Triple(column.subject(i), p, o) for i in column.values.get(o.text, ())]
+        rows, cell = column.rows, column.cell
+        return [Triple(column.subject(i), p, Literal(str(cell(rows[i])))) for i in column.ids]
+
+    def count(self, s: Optional[Term] = None, p: Optional[Term] = None, o: Optional[Term] = None) -> int:
+        """len(lookup(s, p, o)); from index and table sizes, building no
+        triples, when the subject is unbound."""
+        if s is not None:
+            return len(self.lookup(s, p, o))
+        o = self.expand(o) if o is not None else None
+        if o is not None and not isinstance(o, Literal):
+            return 0
+        if p is None:
+            columns = self._columns.values()
+        else:
+            column = self._column(self.expand(p))
+            columns = [column] if column is not None else []
+        if o is None:
+            return sum(len(c.ids) for c in columns)
+        return sum(len(c.values.get(o.text, ())) for c in columns)
+
+
+def to_triples(store: DictionaryStore) -> TableGraph:
+    """The `wikpa:` RDF view of the store's tables."""
+    return TableGraph(store)
+
+
+def to_tables(graph: TableGraph) -> DictionaryStore:
+    """Rebuild the dictionary tables from the triples a graph lists.
 
     Inverse of to_triples(); used to check the mapping is lossless.
     """
     by_subject: dict[tuple[str, int], dict[str, str]] = {}
-    for t in triples.lookup():
+    for t in graph.lookup():
         if not isinstance(t.subject, Iri) or not t.subject.value.startswith(WIKPA_BASE):
             raise TripleMapError(f"foreign subject: {render(t.subject)}")
         table, _, row_id = t.subject.value[len(WIKPA_BASE) :].partition("/")
@@ -248,30 +243,14 @@ def to_tables(triples: TripleStore) -> DictionaryStore:
             raise TripleMapError(f"non-literal object: {render(t.object)}")
         by_subject.setdefault((table, int(row_id)), {})[pred] = t.object.text
 
-    tables: dict[str, dict[int, object]] = {name: {} for name in TABLE_PREDICATES}
-    builders = {
-        "language": lambda v: LanguageRow(int(v[0]), v[1], v[2]),
-        "page": lambda v: PageRow(int(v[0]), v[1]),
-        "lang_pos": lambda v: LangPosRow(*(int(x) for x in v)),
-        "meaning": lambda v: MeaningRow(*(int(x) for x in v)),
-        "translation": lambda v: TranslationRow(*(int(x) for x in v)),
-        "translation_entry": lambda v: TranslationEntryRow(*(int(x) for x in v)),
-        "wiki_text": lambda v: WikiTextRow(int(v[0]), v[1]),
-    }
+    records: dict[str, list[list[str]]] = {name: [] for name in TABLE_PREDICATES}
     for (table, row_id), props in sorted(by_subject.items()):
-        if table not in builders:
+        if table not in records:
             raise TripleMapError(f"unknown table in subject: {table!r}")
         try:
-            values = [props[p] for p in TABLE_PREDICATES[table]]
+            records[table].append([props[p] for p in TABLE_PREDICATES[table]])
         except KeyError as exc:
             raise TripleMapError(f"{table}/{row_id}: missing column triple {exc}") from None
-        tables[table][row_id] = builders[table](values)
-    return DictionaryStore(
-        languages=tables["language"],
-        pages=tables["page"],
-        lang_pos=tables["lang_pos"],
-        meanings=tables["meaning"],
-        translation_rows=tables["translation"],
-        translation_entries=tables["translation_entry"],
-        wiki_texts=tables["wiki_text"],
+    return DictionaryStore.from_tables(
+        {name: parse_rows(name, rows, f"{name} row ") for name, rows in records.items()}
     )

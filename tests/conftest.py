@@ -12,7 +12,7 @@ import pytest
 from lexalign import dictstore, labelkit, ontomodel, taxsim, triplemap
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SwScoring
-from lexalign.triplemap import TripleStore, Variable, render
+from lexalign.triplemap import Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,7 +84,7 @@ class IdentityTranslator:
 # independent oracles
 
 
-def brute_force_evaluate(query: Query, store: TripleStore) -> ResultTable:
+def brute_force_evaluate(query: Query, store: TableGraph) -> ResultTable:
     """Enumerate every assignment of the query's variables to store terms
     and keep those satisfying all patterns. Small stores only."""
     triples = store.lookup()
@@ -126,7 +126,39 @@ def brute_force_evaluate(query: Query, store: TripleStore) -> ResultTable:
     return ResultTable(header=[v.name for v in query.select_vars], rows=rows)
 
 
-def random_query(store: TripleStore, rng: random.Random, max_patterns: int = 4) -> Query:
+# the wikpa: vocabulary written out apart from triplemap's mapping code
+ORACLE_BASE = "http://wikokit.example/wikt/"
+ORACLE_PREDICATES = {
+    "language": ("lang_id", "lang_code", "lang_name"),
+    "page": ("page_id", "page_page_title"),
+    "lang_pos": ("lang_pos_id", "lang_pos_page_id", "lang_pos_lang_id"),
+    "meaning": ("meaning_id", "meaning_lang_pos_id"),
+    "translation": ("translation_id", "translation_lang_pos_id", "translation_meaning_id"),
+    "translation_entry": (
+        "translation_entry_id",
+        "translation_entry_translation_id",
+        "translation_entry_lang_id",
+        "translation_entry_wiki_text_id",
+    ),
+    "wiki_text": ("wiki_text_id", "wiki_text_text"),
+}
+
+
+def oracle_triples(directory: Path) -> list[Triple]:
+    """Every triple of the RDF view of the TSV tables in `directory`, read
+    straight from the files (one subject per line, one triple per cell),
+    in byte order."""
+    triples = []
+    for table, predicates in ORACLE_PREDICATES.items():
+        for line in (directory / f"{table}.tsv").read_text("utf-8").splitlines():
+            cells = line.split("\t")
+            subject = Iri(f"{ORACLE_BASE}{table}/{cells[0]}")
+            for predicate, cell in zip(predicates, cells, strict=True):
+                triples.append(Triple(subject, Iri(ORACLE_BASE + predicate), Literal(cell)))
+    return sorted(triples, key=lambda t: (t.subject.value, t.predicate.value, t.object.text))
+
+
+def random_query(store: TableGraph, rng: random.Random, max_patterns: int = 4) -> Query:
     """Build a satisfiable-looking conjunctive query by sampling triples
     and variable-izing positions from a three-name pool."""
     triples = store.lookup()

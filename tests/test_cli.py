@@ -4,8 +4,11 @@ import subprocess
 import sys
 from urllib.request import urlopen
 
+import pytest
+
 from conftest import FIXTURES
 from lexalign.cli import main
+from lexalign.dictstore import IngestError, load_snapshot
 
 
 def run(capsys, *argv):
@@ -149,6 +152,39 @@ def test_data_error_exit_code_2(tmp_path, capsys):
     assert main(["ingest", str(tmp_path), "-o", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert "missing table file" in err
+
+
+def _doctored_snapshot(tmp_path, capsys, table, edit):
+    path = tmp_path / "store.json"
+    assert main(["ingest", str(FIXTURES / "idioms_dict"), "-o", str(path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text("utf-8"))
+    edit(payload[table])
+    path.write_text(json.dumps(payload), "utf-8")
+    return path
+
+
+def _translate_exit_code(capsys, path, message):
+    with pytest.raises(IngestError, match=message):
+        load_snapshot(path)
+    code, out, err = run(capsys, "translate", str(path), "rain cats and dogs", "--from", "en", "--to", "fr")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_snapshot_duplicate_id_exit_code_2(tmp_path, capsys):
+    # a second page 1 used to replace the first, and the headword vanished
+    path = _doctored_snapshot(tmp_path, capsys, "page", lambda rows: rows.append([1, "other"]))
+    _translate_exit_code(capsys, path, "page row 2: duplicate page_id 1")
+
+
+def test_snapshot_wrongly_typed_cell_exit_code_2(tmp_path, capsys):
+    # an int among the French texts used to end in a TypeError while sorting
+    def edit(rows):
+        rows[2][1] = 5
+
+    path = _doctored_snapshot(tmp_path, capsys, "wiki_text", edit)
+    _translate_exit_code(capsys, path, "wiki_text row 3: text is not a string: 5")
 
 
 def test_match_on_cyclic_ontology_exit_code_2(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from conftest import FIXTURES
@@ -244,3 +247,32 @@ def test_snapshot_round_trip(tmp_path, idioms_store):
     assert loaded.translations("rain cats and dogs", "en", "ru") == [
         "лить как из ведра"
     ]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["page"].append([2]), "page row 2: expected 2 columns, got 1"),
+        (lambda p: p["page"].append("2 dog"), "page row 2: expected 2 columns, got '2 dog'"),
+        (lambda p: p["page"].append([True, "dog"]), "page row 2: page_id is not an integer: True"),
+        (lambda p: p["page"].append(["2", "dog"]), "page row 2: page_id is not an integer: '2'"),
+        (lambda p: p["page"].append([2, None]), "page row 2: page_title is not a string: None"),
+        (lambda p: p.pop("meaning"), "table 'meaning' is not a list"),
+        (lambda p: p.update(language={}), "table 'language' is not a list"),
+    ],
+)
+def test_malformed_snapshot_is_ingest_error(tmp_path, idioms_store, edit, message):
+    path = tmp_path / "store.json"
+    save_snapshot(idioms_store, path)
+    payload = json.loads(path.read_text("utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(IngestError, match=re.escape(message)):
+        load_snapshot(path)
+
+
+def test_snapshot_that_is_not_an_object_is_ingest_error(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text("[]", "utf-8")
+    with pytest.raises(IngestError, match="not a JSON object"):
+        load_snapshot(path)

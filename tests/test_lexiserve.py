@@ -160,16 +160,23 @@ def test_malformed_json_is_payload_error():
         server.server_close()
 
 
-@pytest.mark.parametrize("length", ["abc", "-1"])
-def test_bad_content_length_is_400(idioms_service, length):
+@pytest.mark.parametrize(
+    "length, body, message",
+    [
+        pytest.param("abc", b"", "Content-Length", id="abc"),
+        pytest.param("-1", b"", "Content-Length", id="-1"),
+        pytest.param("9", b"\xff\xfe SELECT", "UTF-8", id="not-utf8"),
+    ],
+)
+def test_malformed_sparql_request_is_400(idioms_service, length, body, message):
     conn = http.client.HTTPConnection(idioms_service.host, idioms_service.port, timeout=5)
     try:
         conn.putrequest("POST", "/sparql")
         conn.putheader("Content-Length", length)
-        conn.endheaders()
+        conn.endheaders(body)
         resp = conn.getresponse()
         assert resp.status == 400
-        assert "Content-Length" in json.loads(resp.read())["error"]
+        assert message in json.loads(resp.read())["error"]
     finally:
         conn.close()
 

@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, brute_force_evaluate, oracle_triples
 from lexalign.dictstore import DictionaryStore, LanguageRow, ingest_tables
+from lexalign.sparqlet import evaluate, parse_query
 from lexalign.triplemap import (
     Iri,
     Literal,
     PrefixedName,
     Triple,
     TripleMapError,
-    TripleStore,
     Variable,
     WIKPA_BASE,
     expand,
@@ -126,7 +126,67 @@ def test_expand_unknown_prefix():
         expand(PrefixedName("nope", "x"), {"wikpa": WIKPA_BASE})
 
 
-def test_duplicate_triples_collapse():
-    t = Triple(Iri("s"), Iri("p"), Literal("o"))
-    store = TripleStore([t, t, Triple(Iri("s"), Iri("p"), Literal("o"))])
-    assert len(store) == 1
+@pytest.mark.parametrize("name", ["idioms_dict", "biblio_dict"])
+def test_view_equals_row_oracle(name):
+    directory = FIXTURES / name
+    graph = to_triples(ingest_tables(directory))
+    expected = oracle_triples(directory)
+    assert graph.lookup() == expected
+    # predicate-bound lookups come out in byte order without a final sort
+    for p, o in {(t.predicate, t.object) for t in expected}:
+        assert graph.lookup(None, p, o) == [t for t in expected if (t.predicate, t.object) == (p, o)]
+    for p in {t.predicate for t in expected}:
+        assert graph.lookup(None, p, None) == [t for t in expected if t.predicate == p]
+
+
+PAGE_ID = PrefixedName("wikpa", "page_id")
+
+
+@pytest.mark.parametrize(
+    "s, p, o",
+    [
+        (Iri(WIKPA_BASE + "page/01"), None, None),
+        (Iri(WIKPA_BASE + "page/01"), PAGE_ID, Literal("1")),
+        (Iri(WIKPA_BASE + "page/+1"), PAGE_ID, None),
+        (Iri(WIKPA_BASE + "page/x"), None, None),
+        (Iri(WIKPA_BASE + "page/x"), PAGE_ID, None),
+        (Iri(WIKPA_BASE + "page/99"), PAGE_ID, None),
+        (Iri(WIKPA_BASE + "nosuch/1"), None, None),
+        (Iri(WIKPA_BASE + "language/1"), PAGE_ID, None),
+        (Iri("http://example.org/page/1"), None, None),
+        (Iri("http://example.org/page/1"), PAGE_ID, Literal("1")),
+        (Literal(WIKPA_BASE + "page/1"), None, None),
+        (Literal(WIKPA_BASE + "page/1"), PAGE_ID, Literal("1")),
+        (None, PAGE_ID, Iri(WIKPA_BASE + "page/1")),
+        (Iri(WIKPA_BASE + "page/1"), None, Iri(WIKPA_BASE + "page/1")),
+        (None, None, Iri(WIKPA_BASE + "page/1")),
+        (None, PrefixedName("wikpa", "no_such_column"), None),
+        (Iri(WIKPA_BASE + "page/1"), Iri("http://example.org/page_id"), Literal("1")),
+        (None, Literal(WIKPA_BASE + "page_id"), None),
+    ],
+)
+def test_hostile_lookups_match_nothing(idioms_triples, s, p, o):
+    assert idioms_triples.lookup(s, p, o) == []
+    assert idioms_triples.count(s, p, o) == 0
+
+
+def test_count_equals_lookup_length(idioms_triples):
+    everything = idioms_triples.lookup()
+    assert idioms_triples.count() == len(everything) == len(idioms_triples)
+    for triple in everything[::5]:
+        for mask in itertools.product([False, True], repeat=3):
+            terms = (triple.subject, triple.predicate, triple.object)
+            args = [t if keep else None for t, keep in zip(terms, mask)]
+            assert idioms_triples.count(*args) == len(idioms_triples.lookup(*args))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT ?x ?y ?z WHERE { ?x wikpa:lang_id ?y . ?y wikpa:lang_code ?z . }",
+        "SELECT ?x ?l WHERE { ?x wikpa:translation_entry_lang_id ?y . ?l wikpa:lang_id ?y . }",
+    ],
+)
+def test_cross_position_join_matches_brute_force(idioms_triples, text):
+    query = parse_query(text)
+    assert evaluate(query, idioms_triples).rows == brute_force_evaluate(query, idioms_triples).rows
