@@ -10,7 +10,8 @@ Endpoints:
 Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
-endpoint against oversized queries.
+endpoint against oversized queries: a query still being evaluated when
+the timeout passes is answered 503.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -28,7 +30,7 @@ from urllib.request import Request, urlopen
 
 from .dictstore import DictionaryStore, DictionaryError
 from .errors import LexalignError
-from .sparqlet import QueryParseError, evaluate, parse_query
+from .sparqlet import QueryParseError, QueryTimeout, evaluate, parse_query
 from .triplemap import to_triples
 
 logger = logging.getLogger(__name__)
@@ -160,6 +162,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(500, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802
+        deadline = time.monotonic() + self.server.config.request_timeout_ms / 1000.0
         route = urlparse(self.path).path
         if route != "/sparql":
             self._error(404, f"no such endpoint: {route}")
@@ -182,10 +185,14 @@ class _Handler(BaseHTTPRequestHandler):
                     f"{self.server.config.max_query_patterns}",
                 )
                 return
-            result = evaluate(query, self.server.triples)
+            result = evaluate(query, self.server.triples, deadline=deadline)
             self._send_json(200, {"head": {"vars": result.header}, "rows": [list(r) for r in result.rows]})
         except QueryParseError as exc:
             self._error(400, str(exc))
+        except QueryTimeout:
+            self._error(
+                503, f"query not answered within {self.server.config.request_timeout_ms} ms"
+            )
         except UnicodeDecodeError as exc:
             self._error(400, f"query is not UTF-8: {exc}")
         except Exception as exc:  # pragma: no cover - defensive

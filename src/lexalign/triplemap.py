@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .dictstore import TABLES, DictionaryStore, parse_rows
 from .errors import LexalignError
@@ -112,17 +112,23 @@ TABLE_PREDICATES = {
 
 
 class _Column:
-    """One predicate: the table it reads, the row field it reads, and its
-    value index (literal text -> row ids in subject byte order)."""
+    """One predicate: the table it reads, the row field it reads, and,
+    unless the field is the table's key, its value index (literal text ->
+    row ids in subject byte order). A key literal decodes to its row as a
+    subject IRI does."""
 
-    def __init__(self, table: str, rows: dict[int, object], field_name: str, ids: list[int]):
+    def __init__(
+        self, table: str, rows: dict[int, object], field_name: str, ids: list[int], key: bool
+    ):
         self.rows = rows
         self.subject_prefix = f"{WIKPA_BASE}{table}/"
         self.cell = attrgetter(field_name)
         self.ids = ids
-        self.values: dict[str, list[int]] = {}
-        for row_id in ids:
-            self.values.setdefault(str(self.cell(rows[row_id])), []).append(row_id)
+        self.values: dict[str, list[int]] | None = None
+        if not key:
+            self.values = {}
+            for row_id in ids:
+                self.values.setdefault(str(self.cell(rows[row_id])), []).append(row_id)
 
     def subject(self, row_id: int) -> Iri:
         return Iri(self.subject_prefix + str(row_id))
@@ -131,14 +137,24 @@ class _Column:
         """The row a subject IRI `wikpa:<table>/<id>` names in this table."""
         if not isinstance(subject, Iri) or not subject.value.startswith(self.subject_prefix):
             return None
-        id_text = subject.value[len(self.subject_prefix) :]
-        try:
-            row_id = int(id_text)
-        except ValueError:
-            return None
-        if str(row_id) != id_text:  # one spelling per id: no "01", "+1" or " 1"
-            return None
-        return self.rows.get(row_id)
+        row_id = _parse_id(subject.value[len(self.subject_prefix) :])
+        return None if row_id is None else self.rows.get(row_id)
+
+    def ids_with(self, text: str) -> Sequence[int]:
+        """The ids of the rows whose cell reads `text`, in subject byte order."""
+        if self.values is not None:
+            return self.values.get(text, ())
+        row_id = _parse_id(text)
+        return (row_id,) if row_id in self.rows else ()
+
+
+def _parse_id(text: str) -> int | None:
+    """The id `text` spells; one spelling per id, so "01", "+1" and " 1" spell none."""
+    try:
+        row_id = int(text)
+    except ValueError:
+        return None
+    return row_id if str(row_id) == text else None
 
 
 class TableGraph:
@@ -147,7 +163,7 @@ class TableGraph:
     Each row is the subject `wikpa:<table>/<id>` of one triple per
     column, whose object is the cell's text as a plain literal. Triples
     are computed from the rows on each lookup; the only data kept beside
-    the tables is one value index per predicate, built here. Nothing is
+    the tables is one value index per non-key column, built here. Nothing is
     written after construction, so concurrent readers are safe.
     """
 
@@ -155,8 +171,10 @@ class TableGraph:
         self._columns: dict[str, _Column] = {}  # predicate IRI -> column
         for table, rows in store.tables().items():
             ids = sorted(rows, key=str)  # subject byte order
-            for pred_name, f in zip(TABLE_PREDICATES[table], fields(TABLES[table][0]), strict=True):
-                self._columns[WIKPA_BASE + pred_name] = _Column(table, rows, f.name, ids)
+            row_fields = fields(TABLES[table][0])  # the first is the key
+            for pred_name, f in zip(TABLE_PREDICATES[table], row_fields, strict=True):
+                column = _Column(table, rows, f.name, ids, key=f is row_fields[0])
+                self._columns[WIKPA_BASE + pred_name] = column
 
     def __len__(self) -> int:
         return self.count()
@@ -201,7 +219,7 @@ class TableGraph:
                 return [Triple(s, p, Literal(text))]
             return [Triple(s, p, o)] if text == o.text else []
         if o is not None:
-            return [Triple(column.subject(i), p, o) for i in column.values.get(o.text, ())]
+            return [Triple(column.subject(i), p, o) for i in column.ids_with(o.text)]
         rows, cell = column.rows, column.cell
         return [Triple(column.subject(i), p, Literal(str(cell(rows[i])))) for i in column.ids]
 
@@ -220,7 +238,7 @@ class TableGraph:
             columns = [column] if column is not None else []
         if o is None:
             return sum(len(c.ids) for c in columns)
-        return sum(len(c.values.get(o.text, ())) for c in columns)
+        return sum(len(c.ids_with(o.text)) for c in columns)
 
 
 def to_triples(store: DictionaryStore) -> TableGraph:

@@ -86,40 +86,48 @@ class IdentityTranslator:
 
 def brute_force_evaluate(query: Query, store: TableGraph) -> ResultTable:
     """Enumerate every assignment of the query's variables to store terms
-    and keep those satisfying all patterns. Small stores only."""
+    and keep those satisfying all patterns. Variables are assigned one at
+    a time, in order of first use, and a partial assignment is dropped as
+    soon as a pattern whose variables it all assigns is not a fact; that
+    keeps the same complete assignments as trying the whole product.
+    Small stores only."""
     triples = store.lookup()
     facts = {(t.subject, t.predicate, t.object) for t in triples}
     terms = sorted(
         {t for tr in triples for t in (tr.subject, tr.predicate, tr.object)}, key=render
     )
-    variables = sorted(
-        {
-            term.name
-            for p in query.patterns
-            for term in (p.subject, p.predicate, p.object)
-            if isinstance(term, Variable)
-        }
-    )
     expanded = [
         tuple(store.expand(t) for t in (p.subject, p.predicate, p.object))
         for p in query.patterns
     ]
+    variables = list(
+        dict.fromkeys(t.name for pattern in expanded for t in pattern if isinstance(t, Variable))
+    )
+    # each pattern is checked once its last variable is assigned
+    position = {name: i for i, name in enumerate(variables)}
+    checks: list[list[tuple]] = [[] for _ in variables]
+    ground = []
+    for pattern in expanded:
+        used = [position[t.name] for t in pattern if isinstance(t, Variable)]
+        (checks[max(used)] if used else ground).append(pattern)
+
+    def holds(pattern: tuple, binding: dict) -> bool:
+        return tuple(binding[t.name] if isinstance(t, Variable) else t for t in pattern) in facts
 
     rows = []
-    for combo in itertools.product(terms, repeat=len(variables)):
-        binding = dict(zip(variables, combo))
-        ok = True
-        for s, p, o in expanded:
-            fact = (
-                binding[s.name] if isinstance(s, Variable) else s,
-                binding[p.name] if isinstance(p, Variable) else p,
-                binding[o.name] if isinstance(o, Variable) else o,
-            )
-            if fact not in facts:
-                ok = False
-                break
-        if ok:
+
+    def extend(binding: dict, depth: int) -> None:
+        if depth == len(variables):
             rows.append(tuple(render(binding[v.name]) for v in query.select_vars))
+            return
+        for term in terms:
+            binding[variables[depth]] = term
+            if all(holds(p, binding) for p in checks[depth]):
+                extend(binding, depth + 1)
+        binding.pop(variables[depth], None)
+
+    if all(holds(p, {}) for p in ground):
+        extend({}, 0)
     rows.sort()
     if query.limit is not None:
         rows = rows[: query.limit]

@@ -11,6 +11,7 @@ from urllib.request import urlopen
 import pytest
 
 from conftest import IDIOM_ROWS
+from lexalign.dictstore import DictionaryStore, WikiTextRow
 from lexalign.lexiserve import (
     ClientPayloadError,
     ClientStatusError,
@@ -113,6 +114,23 @@ def test_pattern_cap_rejects_before_evaluation(idioms_store):
             client_sparql(handle.endpoint, text)
         assert err.value.status == 400
         assert "limit is 2" in str(err.value)
+
+
+def test_sparql_timeout_is_503_and_the_next_request_is_answered():
+    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 201)})
+    # three disconnected patterns: a cross product of 200 ** 3 bindings
+    text = "SELECT ?x1 WHERE { " + " ".join(
+        f"?a{n} wikpa:wiki_text_text ?x{n} ." for n in (1, 2, 3)
+    ) + " }"
+    with serve(ServiceConfig(request_timeout_ms=100), store) as handle:
+        start = time.monotonic()
+        with pytest.raises(ClientStatusError) as err:
+            client_sparql(handle.endpoint, text)
+        assert time.monotonic() - start < 1.0
+        assert err.value.status == 503
+        assert "100 ms" in str(err.value)
+        text = "SELECT ?x WHERE { ?a wikpa:wiki_text_text ?x . } LIMIT 2"
+        assert client_sparql(handle.endpoint, text)[1] == [["word 1"], ["word 10"]]
 
 
 def test_unreachable_endpoint_is_transport_error():

@@ -3,6 +3,17 @@ import random
 import pytest
 
 from conftest import IDIOM_ROWS, brute_force_evaluate, random_query
+from lexalign.dictstore import (
+    TABLES,
+    DictionaryStore,
+    LangPosRow,
+    LanguageRow,
+    MeaningRow,
+    PageRow,
+    TranslationEntryRow,
+    TranslationRow,
+    WikiTextRow,
+)
 from lexalign.sparqlet import (
     Query,
     QueryParseError,
@@ -12,7 +23,7 @@ from lexalign.sparqlet import (
     plan_order,
     print_query,
 )
-from lexalign.triplemap import Literal, PrefixedName, Variable
+from lexalign.triplemap import Literal, PrefixedName, Variable, to_triples
 
 
 def test_parse_translation_query(translation_query_text):
@@ -102,23 +113,24 @@ def test_plan_order_single_pattern():
     assert plan_order(query) == list(query.patterns)
 
 
-def test_plan_order_puts_bound_patterns_first(idioms_triples, translation_query_text):
+def test_plan_order_joins_each_pattern_to_bound_variables(idioms_triples, translation_query_text):
     query = parse_query(translation_query_text)
     ordered = plan_order(query, idioms_triples)
+    assert sorted(map(repr, ordered)) == sorted(map(repr, query.patterns))
 
-    def bound(p):
-        return sum(not isinstance(t, Variable) for t in (p.subject, p.predicate, p.object))
+    def variables(p):
+        return {t.name for t in (p.subject, p.predicate, p.object) if isinstance(t, Variable)}
 
-    title_pattern = next(
-        p
-        for p in query.patterns
-        if isinstance(p.object, Literal) and p.object.text == "rain cats and dogs"
-    )
-    title_index = ordered.index(title_pattern)
-    first_loose = min(i for i, p in enumerate(ordered) if bound(p) <= 1)
-    assert title_index < first_loose
-    counts = [bound(p) for p in ordered]
-    assert counts == sorted(counts, reverse=True)
+    seen = variables(ordered[0])
+    for pattern in ordered[1:]:
+        assert variables(pattern) & seen, pattern
+        seen |= variables(pattern)
+    position = {p: i for i, p in enumerate(ordered)}
+    entry_lang = next(p for p in ordered if p.predicate.local == "translation_entry_lang_id")
+    for pattern in ordered:
+        if pattern.subject == Variable("langSource"):
+            assert position[pattern] > position[entry_lang]
+    assert all(plan_order(query, idioms_triples) == ordered for _ in range(3))
 
 
 def test_pattern_order_never_changes_result(idioms_triples, translation_query_text):
@@ -173,3 +185,56 @@ def test_evaluate_matches_brute_force_on_random_queries(idioms_triples):
         fast = evaluate(query, idioms_triples)
         slow = brute_force_evaluate(query, idioms_triples)
         assert fast.rows == slow.rows, print_query(query)
+
+
+def shared_word_store(pages: int) -> DictionaryStore:
+    """`pages` en pages, each with one meaning translated into fr, de and
+    sv, except page 1, "rain cats and dogs", which has two. A page's fr
+    and de entries share one wiki_text row, and its sv entry uses the next
+    page's row, so entries outnumber wiki_text rows three to one."""
+    tables = {name: {} for name in TABLES}
+    languages = [("en", "English"), ("fr", "French"), ("de", "German"), ("sv", "Swedish")]
+    for lang_id, (code, name) in enumerate(languages, start=1):
+        tables["language"][lang_id] = LanguageRow(lang_id, code, name)
+    for page in range(1, pages + 1):
+        tables["page"][page] = PageRow(page, "rain cats and dogs" if page == 1 else f"word {page}")
+        tables["lang_pos"][page] = LangPosRow(page, page, 1)
+        tables["wiki_text"][page] = WikiTextRow(page, f"mot {page}")
+        for meaning in (1, 2) if page == 1 else (1,):
+            meaning_id = 2 * page + meaning
+            tables["meaning"][meaning_id] = MeaningRow(meaning_id, page)
+            tables["translation"][meaning_id] = TranslationRow(meaning_id, page, meaning_id)
+            for lang_id, text in ((2, page), (3, page), (4, page % pages + 1)):
+                entry = TranslationEntryRow(10 * meaning_id + lang_id, meaning_id, lang_id, text)
+                tables["translation_entry"][entry.translation_entry_id] = entry
+    return DictionaryStore.from_tables(tables)
+
+
+def test_query_cost_follows_result_not_store(translation_query_text):
+    query = parse_query(translation_query_text.replace("LIMIT 7", ""))
+    lookups = []
+    for pages in (25, 200):
+        graph = to_triples(shared_word_store(pages))
+        calls = 0
+        lookup = graph.lookup
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return lookup(*args)
+
+        graph.lookup = counted
+        result = evaluate(query, graph)
+        del graph.lookup
+        lookups.append(calls)
+        assert result.rows == [
+            ("de", "German", "mot 1"),
+            ("de", "German", "mot 1"),
+            ("fr", "French", "mot 1"),
+            ("fr", "French", "mot 1"),
+            ("sv", "Swedish", "mot 2"),
+            ("sv", "Swedish", "mot 2"),
+        ]
+        if pages == 25:
+            assert result.rows == brute_force_evaluate(query, graph).rows
+    assert lookups[0] == lookups[1]

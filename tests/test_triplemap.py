@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES, brute_force_evaluate, oracle_triples
+from conftest import FIXTURES, ORACLE_PREDICATES, brute_force_evaluate, oracle_triples
 from lexalign.dictstore import DictionaryStore, LanguageRow, ingest_tables
 from lexalign.sparqlet import evaluate, parse_query
 from lexalign.triplemap import (
@@ -163,6 +163,16 @@ PAGE_ID = PrefixedName("wikpa", "page_id")
         (None, PrefixedName("wikpa", "no_such_column"), None),
         (Iri(WIKPA_BASE + "page/1"), Iri("http://example.org/page_id"), Literal("1")),
         (None, Literal(WIKPA_BASE + "page_id"), None),
+        (None, PAGE_ID, Literal("01")),
+        (None, PAGE_ID, Literal("+1")),
+        (None, PAGE_ID, Literal(" 1")),
+        (None, PAGE_ID, Literal("1_0")),
+        (None, PAGE_ID, Literal("x")),
+        (None, PAGE_ID, Literal("")),
+        (None, PAGE_ID, Literal("99")),
+        (None, PAGE_ID, Literal("9" * 5000)),
+        (Iri(WIKPA_BASE + "page/1"), PAGE_ID, Literal("01")),
+        (None, None, Literal("01")),
     ],
 )
 def test_hostile_lookups_match_nothing(idioms_triples, s, p, o):
@@ -178,6 +188,13 @@ def test_count_equals_lookup_length(idioms_triples):
             terms = (triple.subject, triple.predicate, triple.object)
             args = [t if keep else None for t, keep in zip(terms, mask)]
             assert idioms_triples.count(*args) == len(idioms_triples.lookup(*args))
+    # object-bound patterns on every table's key column, held and not held
+    for predicates in ORACLE_PREDICATES.values():
+        key = Iri(WIKPA_BASE + predicates[0])
+        for text in ("1", "2", "3", "10", "99", "01", "-1", "x"):
+            found = idioms_triples.lookup(None, key, Literal(text))
+            assert idioms_triples.count(None, key, Literal(text)) == len(found)
+            assert found == [t for t in everything if (t.predicate, t.object.text) == (key, text)]
 
 
 @pytest.mark.parametrize(
