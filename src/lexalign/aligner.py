@@ -26,7 +26,7 @@ from .strsim import DEFAULT_SW_SCORING, jaro_winkler, sw_normalized
 from .structsim import (
     DEFAULT_EXPANSION,
     ExpansionConfig,
-    default_name_matcher,
+    NameMatcher,
     expand_tree,
     subclass_rule,
     tree_similarity,
@@ -145,6 +145,87 @@ def _token_similarity(cfg: MatchConfig) -> Callable[[str, str], float]:
     return sim
 
 
+class NameTable:
+    """The name comparisons of one align() run, each computed once.
+
+    A comparison is the token-sequence cover score of
+    labelkit.token_sequence_match under the table's token similarity,
+    keyed by the two token tuples. It is computed at `floor`, the lowest
+    threshold any reader uses, and the cover at a threshold t >= floor is
+    the stored score when that is >= t and none otherwise. The tokens of
+    each name and the similarity of each token pair are memoized too.
+    Every entry is a pure function of its key, so reading the table gives
+    the same answers as comparing afresh.
+    """
+
+    def __init__(self, similarity: Callable[[str, str], float], floor: float):
+        self._similarity = similarity
+        self._floor = floor
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._pairs: dict[tuple[str, str], float] = {}
+        self._covers: dict[tuple[tuple[str, ...], tuple[str, ...]], Optional[float]] = {}
+
+    def tokens(self, name: str) -> tuple[str, ...]:
+        tokens = self._tokens.get(name)
+        if tokens is None:
+            tokens = self._tokens[name] = tuple(tokenize(name))
+        return tokens
+
+    def _pair_similarity(self, a: str, b: str) -> float:
+        score = self._pairs.get((a, b))
+        if score is None:
+            score = self._pairs[a, b] = self._similarity(a, b)
+        return score
+
+    def cover(
+        self, tokens_a: tuple[str, ...], tokens_b: tuple[str, ...], threshold: float
+    ) -> Optional[float]:
+        if threshold < self._floor:
+            raise AlignerError(f"threshold {threshold} is below the table's floor {self._floor}")
+        key = (tokens_a, tokens_b)
+        if key in self._covers:
+            score = self._covers[key]
+        else:
+            score = self._covers[key] = token_sequence_match(
+                tokens_a, tokens_b, self._pair_similarity, self._floor
+            )
+        return score if score is not None and score >= threshold else None
+
+    def matcher(self, threshold: float) -> NameMatcher:
+        """structsim.default_name_matcher's comparison, read from the table."""
+
+        def match(a: str, b: str) -> bool:
+            return self.cover(self.tokens(a), self.tokens(b), threshold) is not None
+
+        return match
+
+    def translated_matcher(
+        self,
+        o1: Ontology,
+        translations: dict[str, TranslatedLabel],
+        threshold: float,
+    ) -> NameMatcher:
+        """Compare a left name through its candidate keys with a right name."""
+        keys_by_name: dict[str, list[tuple[str, ...]]] = {}
+        for iri, tl in translations.items():
+            keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
+            keys.extend(self.tokens(key) for key in tl.candidate_keys())
+        answers: dict[tuple[str, str], bool] = {}
+
+        def match(a_name: str, b_name: str) -> bool:
+            answer = answers.get((a_name, b_name))
+            if answer is None:
+                b_tokens = self.tokens(b_name)
+                keys = keys_by_name.get(a_name)
+                answer = answers[a_name, b_name] = any(
+                    self.cover(tokens, b_tokens, threshold) is not None
+                    for tokens in (keys if keys is not None else [self.tokens(a_name)])
+                )
+            return answer
+
+        return match
+
+
 def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, TranslatedLabel]:
     """Translate every left-entity display name once; keyed by IRI."""
     out: dict[str, TranslatedLabel] = {}
@@ -169,19 +250,25 @@ def string_correspondences(
     o2: Ontology,
     translations: dict[str, TranslatedLabel],
     cfg: MatchConfig,
+    table: Optional[NameTable] = None,
 ) -> list[Correspondence]:
-    """Best token-sequence score over all candidate keys per pair."""
-    sim = _token_similarity(cfg)
-    key_tokens: dict[str, list[list[str]]] = {
-        iri: [tokenize(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
+    """Best token-sequence score over all candidate keys per pair.
+
+    `table` must compare tokens with the configured similarity; without
+    one, the stage makes its own.
+    """
+    if table is None:
+        table = NameTable(_token_similarity(cfg), cfg.jw_threshold)
+    key_tokens = {
+        iri: [table.tokens(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
     }
-    name_tokens2 = {e.iri: tokenize(o2.display_name(e)) for e in o2.entities.values()}
+    name_tokens2 = {e.iri: table.tokens(o2.display_name(e)) for e in o2.entities.values()}
 
     out = []
     for e1, e2 in _kind_pairs(o1, o2):
         best: Optional[float] = None
         for tokens in key_tokens[e1.iri]:
-            score = token_sequence_match(tokens, name_tokens2[e2.iri], sim, cfg.jw_threshold)
+            score = table.cover(tokens, name_tokens2[e2.iri], cfg.jw_threshold)
             if score is not None and (best is None or score > best):
                 best = score
         if best is not None:
@@ -201,16 +288,21 @@ def lexical_correspondences(
     cfg: MatchConfig,
     thesaurus: Thesaurus,
     skip: set[tuple[str, str]],
+    table: NameTable,
 ) -> list[Correspondence]:
     """Thesaurus similarity for pairs the string stage did not cover."""
     out = []
-    name2 = {e.iri: " ".join(tokenize(o2.display_name(e))) for e in o2.entities.values()}
+    keys1 = {
+        iri: [" ".join(table.tokens(key)) for key in tl.candidate_keys()]
+        for iri, tl in translations.items()
+    }
+    name2 = {e.iri: " ".join(table.tokens(o2.display_name(e))) for e in o2.entities.values()}
     for e1, e2 in _kind_pairs(o1, o2):
         if (e1.iri, e2.iri) in skip:
             continue
         best = 0.0
-        for key in translations[e1.iri].candidate_keys():
-            value = lexical_match(thesaurus, " ".join(tokenize(key)), name2[e2.iri])
+        for key in keys1[e1.iri]:
+            value = lexical_match(thesaurus, key, name2[e2.iri])
             best = max(best, value)
         if best >= cfg.jcn_threshold:
             out.append(Correspondence(e1, e2, _jcn_to_score(best), SOURCE_LEXICAL))
@@ -220,38 +312,28 @@ def lexical_correspondences(
 def structural_correspondences(
     o1: Ontology,
     o2: Ontology,
-    translations: dict[str, TranslatedLabel],
     cfg: MatchConfig,
     seed: Alignment,
+    name_matcher: NameMatcher,
+    translated_matcher: NameMatcher,
 ) -> list[Correspondence]:
     """Rule-based pairs at score 1.0 plus expanding-tree scores for
-    class pairs with any overlap."""
-    raw_matcher = default_name_matcher(cfg.expansion.label_matcher_threshold)
+    class pairs with any overlap.
+
+    The rules compare names with `name_matcher`; the trees compare a left
+    node's translations with a right node's name through
+    `translated_matcher`.
+    """
     seed_pairs = seed.pairs()
 
     out = []
     seen: set[tuple[str, str]] = set()
-    for left, right in triple_rule(o1, o2, seed_pairs, raw_matcher) + subclass_rule(
-        o1, o2, seed_pairs, raw_matcher
+    for left, right in triple_rule(o1, o2, seed_pairs, name_matcher) + subclass_rule(
+        o1, o2, seed_pairs, name_matcher
     ):
         if (left.iri, right.iri) not in seen:
             seen.add((left.iri, right.iri))
             out.append(Correspondence(left, right, 1.0, SOURCE_STRUCTURE))
-
-    # tree comparison translates left-side node names through the same cache
-    keys_by_name: dict[str, list[list[str]]] = {}
-    for iri, tl in translations.items():
-        name = o1.display_name(o1.entities[iri])
-        keys_by_name.setdefault(name, [])
-        for key in tl.candidate_keys():
-            keys_by_name[name].append(tokenize(key))
-
-    def translated_matcher(a_name: str, b_name: str) -> bool:
-        b_tokens = tokenize(b_name)
-        for tokens in keys_by_name.get(a_name, [tokenize(a_name)]):
-            if token_sequence_match(tokens, b_tokens, jaro_winkler, cfg.expansion.label_matcher_threshold) is not None:
-                return True
-        return False
 
     trees1 = {c.iri: expand_tree(o1, c, cfg.expansion) for c in o1.classes()}
     trees2 = {c.iri: expand_tree(o2, c, cfg.expansion) for c in o2.classes()}
@@ -305,17 +387,35 @@ def align(
     cfg: MatchConfig,
     thesaurus: Optional[Thesaurus] = None,
 ) -> Alignment:
-    """Run the full pipeline and return the one-to-one alignment."""
+    """Run the full pipeline and return the one-to-one alignment.
+
+    One NameTable serves every Jaro-Winkler name comparison of the run.
+    With Smith-Waterman on, the string stage scores tokens differently and
+    keeps a table of its own.
+    """
+    tree_threshold = cfg.expansion.label_matcher_threshold
+    table = NameTable(jaro_winkler, min(cfg.jw_threshold, tree_threshold))
     translations = _translated(o1, translator, cfg)
-    string_stage = string_correspondences(o1, o2, translations, cfg)
+    string_stage = string_correspondences(
+        o1, o2, translations, cfg, None if cfg.sw_enabled else table
+    )
     lexical_stage: list[Correspondence] = []
     if thesaurus is not None:
         covered = {(c.left.iri, c.right.iri) for c in string_stage}
-        lexical_stage = lexical_correspondences(o1, o2, translations, cfg, thesaurus, covered)
+        lexical_stage = lexical_correspondences(
+            o1, o2, translations, cfg, thesaurus, covered, table
+        )
     structural_stage: list[Correspondence] = []
     if cfg.structure_enabled:
         seed = greedy_one_to_one(string_stage + lexical_stage)
-        structural_stage = structural_correspondences(o1, o2, translations, cfg, seed)
+        structural_stage = structural_correspondences(
+            o1,
+            o2,
+            cfg,
+            seed,
+            table.matcher(tree_threshold),
+            table.translated_matcher(o1, translations, tree_threshold),
+        )
     return greedy_one_to_one(string_stage + lexical_stage + structural_stage)
 
 

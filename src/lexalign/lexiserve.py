@@ -10,8 +10,9 @@ Endpoints:
 Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
-endpoint against oversized queries: a query still being evaluated when
-the timeout passes is answered 503.
+endpoint against oversized queries: a query whose answer is not ready
+to encode when the timeout passes is answered 503, and a body that
+stops arriving for that long is answered 408.
 """
 
 from __future__ import annotations
@@ -176,8 +177,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, "Content-Length must be a non-negative integer")
             return
         try:
-            text = self.rfile.read(length).decode("utf-8")
-            query = parse_query(text)
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True  # the stream stops mid-body
+            self._error(
+                408, f"request body not received within {self.server.config.request_timeout_ms} ms"
+            )
+            return
+        try:
+            query = parse_query(body.decode("utf-8"))
             if len(query.patterns) > self.server.config.max_query_patterns:
                 self._error(
                     400,
@@ -186,6 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             result = evaluate(query, self.server.triples, deadline=deadline)
+            if time.monotonic() > deadline:  # sorting a large answer can take the rest
+                raise QueryTimeout("query answer passed its deadline")
             self._send_json(200, {"head": {"vars": result.header}, "rows": [list(r) for r in result.rows]})
         except QueryParseError as exc:
             self._error(400, str(exc))

@@ -75,6 +75,9 @@ class Ontology:
     domain: dict[EntityId, EntityId] = field(default_factory=dict)
     range: dict[EntityId, RangeTarget] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    # adjacency that load_ontology derives from subclass_of, domain and range
+    subclasses: dict[EntityId, set[EntityId]] = field(default_factory=dict)
+    properties_by_class: dict[EntityId, set[EntityId]] = field(default_factory=dict)
 
     def entity(self, iri: str) -> EntityId:
         try:
@@ -90,15 +93,13 @@ class Ontology:
     def direct_subclasses(self, c: EntityId) -> set[EntityId]:
         if c.iri not in self.entities:
             raise OntologyError(f"unknown class: {c.iri}")
-        return {sub for sub, parent in self.subclass_of if parent == c}
+        return set(self.subclasses.get(c, ()))
 
     def properties_of(self, c: EntityId) -> set[EntityId]:
         """Properties that have `c` as domain or range."""
         if c.iri not in self.entities:
             raise OntologyError(f"unknown class: {c.iri}")
-        props = {p for p, d in self.domain.items() if d == c}
-        props |= {p for p, r in self.range.items() if r == c}
-        return props
+        return set(self.properties_by_class.get(c, ()))
 
     def by_kind(self, kind: Kind) -> list[EntityId]:
         return sorted((e for e in self.entities.values() if e.kind == kind), key=lambda e: e.iri)
@@ -208,8 +209,12 @@ def load_ontology(text: str) -> Ontology:
             onto.warnings.append(f"line {line_no}: unknown predicate {p} ignored")
 
     parents: dict[str, list[str]] = {}
-    for sub_iri, parent_iri in sorted((sub.iri, parent.iri) for sub, parent in onto.subclass_of):
-        parents.setdefault(sub_iri, []).append(parent_iri)
+    for sub, parent in sorted(onto.subclass_of, key=lambda edge: (edge[0].iri, edge[1].iri)):
+        parents.setdefault(sub.iri, []).append(parent.iri)
+        onto.subclasses.setdefault(parent, set()).add(sub)
+    for prop, target in [*onto.domain.items(), *onto.range.items()]:
+        if isinstance(target, EntityId):
+            onto.properties_by_class.setdefault(target, set()).add(prop)
     try:
         TopologicalSorter(parents).prepare()
     except CycleError as exc:

@@ -13,9 +13,11 @@ Grammar (whitespace and newline insensitive):
 
 Predicate-object lists introduced by ";" are expanded into full triple
 patterns sharing the group subject. Evaluation is a natural join over
-shared variables with set semantics on full bindings; rows are sorted
-lexicographically by cell before LIMIT is applied, so results are
-deterministic.
+shared variables. The graph lists each triple at most once, and a
+solution fixes every term of every pattern, so it matches exactly one
+tuple of triples, and no two solutions are equal.
+Projected rows are a bag. They are sorted lexicographically by cell
+before LIMIT is applied, so results are deterministic.
 
 Patterns are joined in a greedy order (plan_order): each step takes the
 pattern with the most terms bound by constants or by the patterns
@@ -243,25 +245,6 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     return parser.parse_query()
 
 
-def print_query(query: Query) -> str:
-    """Canonical one-pattern-per-group rendering; parse(print(q)) == q."""
-    parts = ["SELECT"]
-    parts.extend(f"?{v.name}" for v in query.select_vars)
-    parts.append("WHERE {")
-    for p in query.patterns:
-        parts.append(f"{_print_term(p.subject)} {_print_term(p.predicate)} {_print_term(p.object)} .")
-    parts.append("}")
-    if query.limit is not None:
-        parts.append(f"LIMIT {query.limit}")
-    return " ".join(parts)
-
-
-def _print_term(term: Term) -> str:
-    if isinstance(term, Literal):
-        return f'"{term.text}"'
-    return render(term)
-
-
 def plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePattern]:
     """The patterns in the order evaluate() joins them, chosen greedily.
 
@@ -354,24 +337,29 @@ def evaluate(query: Query, store: TableGraph, deadline: float | None = None) -> 
 
     With a `deadline` (a `time.monotonic()` value), raise QueryTimeout
     once it has passed; it is checked before each binding is extended,
-    so a query that multiplies bindings stops before it fills memory.
+    so a query that multiplies bindings stops before it fills memory,
+    and before each row is rendered.
     """
     solutions: list[dict[str, Term]] = [{}]
     for pattern in plan_order(query, store):
         next_solutions: list[dict[str, Term]] = []
         for binding in solutions:
-            if deadline is not None and time.monotonic() > deadline:
-                raise QueryTimeout("query evaluation passed its deadline")
+            _check_deadline(deadline)
             next_solutions.extend(_match_pattern(pattern, binding, store))
         solutions = next_solutions
         if not solutions:
             break
 
-    distinct = {frozenset((k, v) for k, v in sol.items()): sol for sol in solutions}
-    rows = [
-        tuple(render(sol[v.name]) for v in query.select_vars) for sol in distinct.values()
-    ]
+    rows = []
+    for sol in solutions:
+        _check_deadline(deadline)
+        rows.append(tuple(render(sol[v.name]) for v in query.select_vars))
     rows.sort()
     if query.limit is not None:
         rows = rows[: query.limit]
     return ResultTable(header=[v.name for v in query.select_vars], rows=rows)
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise QueryTimeout("query evaluation passed its deadline")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from .dictstore import TABLES, DictionaryStore, parse_rows
+from .dictstore import TABLES, DictionaryStore
 from .errors import LexalignError
 
 WIKPA_PREFIX = "wikpa"
@@ -244,31 +244,3 @@ class TableGraph:
 def to_triples(store: DictionaryStore) -> TableGraph:
     """The `wikpa:` RDF view of the store's tables."""
     return TableGraph(store)
-
-
-def to_tables(graph: TableGraph) -> DictionaryStore:
-    """Rebuild the dictionary tables from the triples a graph lists.
-
-    Inverse of to_triples(); used to check the mapping is lossless.
-    """
-    by_subject: dict[tuple[str, int], dict[str, str]] = {}
-    for t in graph.lookup():
-        if not isinstance(t.subject, Iri) or not t.subject.value.startswith(WIKPA_BASE):
-            raise TripleMapError(f"foreign subject: {render(t.subject)}")
-        table, _, row_id = t.subject.value[len(WIKPA_BASE) :].partition("/")
-        pred = t.predicate.value[len(WIKPA_BASE) :] if isinstance(t.predicate, Iri) else ""
-        if not isinstance(t.object, Literal):
-            raise TripleMapError(f"non-literal object: {render(t.object)}")
-        by_subject.setdefault((table, int(row_id)), {})[pred] = t.object.text
-
-    records: dict[str, list[list[str]]] = {name: [] for name in TABLE_PREDICATES}
-    for (table, row_id), props in sorted(by_subject.items()):
-        if table not in records:
-            raise TripleMapError(f"unknown table in subject: {table!r}")
-        try:
-            records[table].append([props[p] for p in TABLE_PREDICATES[table]])
-        except KeyError as exc:
-            raise TripleMapError(f"{table}/{row_id}: missing column triple {exc}") from None
-    return DictionaryStore.from_tables(
-        {name: parse_rows(name, rows, f"{name} row ") for name, rows in records.items()}
-    )

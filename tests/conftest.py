@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from lexalign import dictstore, labelkit, ontomodel, taxsim, triplemap
+from lexalign import aligner, dictstore, labelkit, ontomodel, taxsim, triplemap
+from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
-from lexalign.strsim import SwScoring
+from lexalign.strsim import SwScoring, jaro_winkler
 from lexalign.triplemap import Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,6 +167,36 @@ def oracle_triples(directory: Path) -> list[Triple]:
     return sorted(triples, key=lambda t: (t.subject.value, t.predicate.value, t.object.text))
 
 
+def to_tables(graph: TableGraph) -> dictstore.DictionaryStore:
+    """Rebuild the dictionary tables from the triples a graph lists, with
+    the vocabulary above; the inverse of triplemap.to_triples."""
+    cells: dict[tuple[str, int], dict[str, str]] = {}
+    for t in graph.lookup():
+        table, _, row_id = t.subject.value.removeprefix(ORACLE_BASE).partition("/")
+        predicate = t.predicate.value.removeprefix(ORACLE_BASE)
+        cells.setdefault((table, int(row_id)), {})[predicate] = t.object.text
+    records: dict[str, list[list[str]]] = {table: [] for table in ORACLE_PREDICATES}
+    for (table, _), row in sorted(cells.items()):
+        records[table].append([row[predicate] for predicate in ORACLE_PREDICATES[table]])
+    return dictstore.DictionaryStore.from_tables(
+        {name: dictstore.parse_rows(name, rows, f"{name} row ") for name, rows in records.items()}
+    )
+
+
+def print_query(query: Query) -> str:
+    """Canonical one-pattern-per-group rendering; parse(print(q)) == q."""
+
+    def term(t) -> str:
+        return f'"{t.text}"' if isinstance(t, Literal) else render(t)
+
+    parts = ["SELECT", *(f"?{v.name}" for v in query.select_vars), "WHERE {"]
+    parts.extend(f"{term(p.subject)} {term(p.predicate)} {term(p.object)} ." for p in query.patterns)
+    parts.append("}")
+    if query.limit is not None:
+        parts.append(f"LIMIT {query.limit}")
+    return " ".join(parts)
+
+
 def random_query(store: TableGraph, rng: random.Random, max_patterns: int = 4) -> Query:
     """Build a satisfiable-looking conjunctive query by sampling triples
     and variable-izing positions from a three-name pool."""
@@ -259,3 +290,93 @@ def all_strings(alphabet: str, max_len: int) -> list[str]:
     for length in range(1, max_len + 1):
         out.extend("".join(chars) for chars in itertools.product(alphabet, repeat=length))
     return out
+
+
+# --------------------------------------------------------------------------
+# the aligner with every name comparison made afresh, as it was before
+# the per-run name table
+
+
+def per_call_name_matcher(threshold: float = 0.9):
+    """Tokenized Jaro-Winkler comparison: every token must pair off at or
+    above the threshold."""
+
+    def matcher(a: str, b: str) -> bool:
+        return (
+            token_sequence_match(tokenize(a), tokenize(b), jaro_winkler, threshold) is not None
+        )
+
+    return matcher
+
+
+def per_call_translated_matcher(o1, translations, threshold: float):
+    """A left name matches a right name when one of its candidate keys does."""
+    keys_by_name: dict[str, list[list[str]]] = {}
+    for iri, tl in translations.items():
+        name = o1.display_name(o1.entities[iri])
+        keys_by_name.setdefault(name, [])
+        for key in tl.candidate_keys():
+            keys_by_name[name].append(tokenize(key))
+
+    def translated_matcher(a_name: str, b_name: str) -> bool:
+        b_tokens = tokenize(b_name)
+        for tokens in keys_by_name.get(a_name, [tokenize(a_name)]):
+            if token_sequence_match(tokens, b_tokens, jaro_winkler, threshold) is not None:
+                return True
+        return False
+
+    return translated_matcher
+
+
+def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment:
+    """aligner.align with the string and lexical stage loops and the two
+    structure matchers as they were before the per-run name table."""
+    translations = aligner._translated(o1, translator, cfg)
+
+    sim = aligner._token_similarity(cfg)
+    key_tokens = {
+        iri: [tokenize(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
+    }
+    name_tokens2 = {e.iri: tokenize(o2.display_name(e)) for e in o2.entities.values()}
+    string_stage = []
+    for e1, e2 in aligner._kind_pairs(o1, o2):
+        best = None
+        for tokens in key_tokens[e1.iri]:
+            score = token_sequence_match(tokens, name_tokens2[e2.iri], sim, cfg.jw_threshold)
+            if score is not None and (best is None or score > best):
+                best = score
+        if best is not None:
+            string_stage.append(
+                aligner.Correspondence(e1, e2, min(best, 1.0), aligner.SOURCE_STRING)
+            )
+
+    lexical_stage = []
+    if thesaurus is not None:
+        covered = {(c.left.iri, c.right.iri) for c in string_stage}
+        name2 = {e.iri: " ".join(tokenize(o2.display_name(e))) for e in o2.entities.values()}
+        for e1, e2 in aligner._kind_pairs(o1, o2):
+            if (e1.iri, e2.iri) in covered:
+                continue
+            best = 0.0
+            for key in translations[e1.iri].candidate_keys():
+                value = taxsim.lexical_match(thesaurus, " ".join(tokenize(key)), name2[e2.iri])
+                best = max(best, value)
+            if best >= cfg.jcn_threshold:
+                lexical_stage.append(
+                    aligner.Correspondence(
+                        e1, e2, aligner._jcn_to_score(best), aligner.SOURCE_LEXICAL
+                    )
+                )
+
+    structural_stage = []
+    if cfg.structure_enabled:
+        threshold = cfg.expansion.label_matcher_threshold
+        structural_stage = aligner.structural_correspondences(
+            o1,
+            o2,
+            cfg,
+            aligner.greedy_one_to_one(string_stage + lexical_stage),
+            per_call_name_matcher(threshold),
+            per_call_translated_matcher(o1, translations, threshold),
+        )
+    return aligner.greedy_one_to_one(string_stage + lexical_stage + structural_stage)

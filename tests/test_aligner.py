@@ -1,25 +1,39 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, IdentityTranslator
+from conftest import (
+    FIXTURES,
+    IdentityTranslator,
+    per_call_align,
+    per_call_name_matcher,
+    per_call_translated_matcher,
+)
+from lexalign import aligner, structsim
 from lexalign.aligner import (
     Alignment,
     AlignerError,
     AlignmentFormatError,
     Correspondence,
     MatchConfig,
+    NameTable,
     aggregate,
     align,
     evaluate,
     greedy_one_to_one,
     read_alignment,
     string_correspondences,
+    structural_correspondences,
     write_alignment,
     _translated,
 )
-from lexalign.ontomodel import EntityId, Kind
+from lexalign.ontomodel import EntityId, Kind, load_ontology
+from lexalign.structsim import ExpansionConfig
+from lexalign.strsim import jaro_winkler
 
 FR = "http://example.org/biblio-fr#"
 EN = "http://example.org/biblio-en#"
@@ -153,6 +167,135 @@ def test_string_stage_threshold_monotonic(onto_fr, onto_en, dict_translator):
         if previous is not None:
             assert previous <= pairs  # lowering the bar only adds pairs
         previous = pairs
+
+
+# --------------------------------------------------------------------------
+# the per-run name table against comparisons made afresh
+
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+RDFS = "http://www.w3.org/2000/01/rdf-schema#"
+OWL = "http://www.w3.org/2002/07/owl#"
+# near-identical words, so that names collide and scores straddle the thresholds
+_WORDS = ("ab", "abc", "abd", "ba", "bab", "cab")
+_LABELS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+class WordTableTranslator:
+    """Test double: a few words of _WORDS translate to others."""
+
+    TABLE = {"ab": ["abc", "ba"], "bab": ["cab"], "abd ba": ["ab"]}
+
+    def translate(self, word, from_lang, to_lang):
+        return self.TABLE.get(word, [])
+
+
+@st.composite
+def small_ontology(draw, base):
+    """At most 6 classes in a subclass forest and 3 object properties."""
+    lines = []
+
+    def triple(s, p, o, literal=False):
+        lines.append(f'<{base}{s}> <{p}> ' + (f'"{o}" .' if literal else f"<{o}> ."))
+
+    classes = draw(st.integers(1, 6))
+    for i in range(classes):
+        triple(f"C{i}", RDF_TYPE, OWL + "Class")
+        triple(f"C{i}", RDFS + "label", draw(_LABELS), literal=True)
+        if i and draw(st.booleans()):
+            triple(f"C{i}", RDFS + "subClassOf", f"{base}C{draw(st.integers(0, i - 1))}")
+    for j in range(draw(st.integers(0, 3))):
+        triple(f"p{j}", RDF_TYPE, OWL + "ObjectProperty")
+        triple(f"p{j}", RDFS + "label", draw(_LABELS), literal=True)
+        for predicate in ("domain", "range"):
+            if draw(st.booleans()):
+                triple(f"p{j}", RDFS + predicate, f"{base}C{draw(st.integers(0, classes - 1))}")
+    return load_ontology("\n".join(lines) + "\n")
+
+
+_THRESHOLDS = st.sampled_from((0.8, 0.9, 0.95, 1.0))
+
+
+def check_against_per_call(o1, o2, translator, cfg, thesaurus=None):
+    assert align(o1, o2, translator, cfg, thesaurus) == per_call_align(
+        o1, o2, translator, cfg, thesaurus
+    )
+    translations = _translated(o1, translator, cfg)
+    seed = greedy_one_to_one(string_correspondences(o1, o2, translations, cfg))
+    threshold = cfg.expansion.label_matcher_threshold
+    table = NameTable(jaro_winkler, threshold)
+    assert structural_correspondences(
+        o1,
+        o2,
+        cfg,
+        seed,
+        table.matcher(threshold),
+        table.translated_matcher(o1, translations, threshold),
+    ) == structural_correspondences(
+        o1,
+        o2,
+        cfg,
+        seed,
+        per_call_name_matcher(threshold),
+        per_call_translated_matcher(o1, translations, threshold),
+    )
+
+
+def test_name_table_agrees_with_per_call_matchers_on_biblio(
+    onto_fr, onto_en, dict_translator, thesaurus
+):
+    for jw_threshold, label_threshold in ((0.9, 0.9), (0.8, 0.95), (0.95, 0.8)):
+        cfg = MatchConfig(
+            "fr",
+            "en",
+            jw_threshold=jw_threshold,
+            expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
+        )
+        check_against_per_call(onto_fr, onto_en, dict_translator, cfg, thesaurus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_ontology("http://example.org/one#"),
+    small_ontology("http://example.org/two#"),
+    _THRESHOLDS,
+    _THRESHOLDS,
+    st.booleans(),
+)
+def test_name_table_agrees_with_per_call_matchers_on_small_pairs(
+    o1, o2, jw_threshold, label_threshold, sw_enabled
+):
+    cfg = MatchConfig(
+        "fr",
+        "en",
+        jw_threshold=jw_threshold,
+        sw_enabled=sw_enabled,
+        expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
+    )
+    check_against_per_call(o1, o2, WordTableTranslator(), cfg)
+
+
+def test_align_scores_each_token_pair_once(
+    monkeypatch, onto_fr, onto_en, dict_translator, thesaurus, cfg
+):
+    calls = Counter()
+
+    def counting(a, b):
+        calls[a, b] += 1
+        return jaro_winkler(a, b)
+
+    monkeypatch.setattr(aligner, "jaro_winkler", counting)
+    monkeypatch.setattr(structsim, "jaro_winkler", counting)
+    align(onto_fr, onto_en, dict_translator, cfg, thesaurus)
+    assert calls
+    assert max(calls.values()) == 1
+
+
+def test_name_table_refuses_a_threshold_below_its_floor():
+    table = NameTable(jaro_winkler, 0.9)
+    assert table.cover(("film",), ("film",), 0.95) == 1.0
+    assert table.cover(("film",), ("firm",), 0.95) is None
+    with pytest.raises(AlignerError, match="floor"):
+        table.cover(("film",), ("film",), 0.8)
 
 
 def test_evaluate_benchmark_scale_counts():

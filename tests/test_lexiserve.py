@@ -1,5 +1,6 @@
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -11,6 +12,7 @@ from urllib.request import urlopen
 import pytest
 
 from conftest import IDIOM_ROWS
+from lexalign import lexiserve
 from lexalign.dictstore import DictionaryStore, WikiTextRow
 from lexalign.lexiserve import (
     ClientPayloadError,
@@ -131,6 +133,60 @@ def test_sparql_timeout_is_503_and_the_next_request_is_answered():
         assert "100 ms" in str(err.value)
         text = "SELECT ?x WHERE { ?a wikpa:wiki_text_text ?x . } LIMIT 2"
         assert client_sparql(handle.endpoint, text)[1] == [["word 1"], ["word 10"]]
+
+
+# what a request may take beyond request_timeout_ms: the check after the
+# deadline passes, the 503 body and the round trip
+TIMEOUT_SLACK_S = 0.5
+
+
+def test_sparql_cross_product_is_503_within_the_timeout():
+    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 301)})
+    # two disconnected patterns: 90,000 rows
+    text = "SELECT ?x1 ?x2 WHERE { ?a1 wikpa:wiki_text_text ?x1 . ?a2 wikpa:wiki_text_text ?x2 . }"
+    with serve(ServiceConfig(request_timeout_ms=100), store) as handle:
+        start = time.monotonic()
+        with pytest.raises(ClientStatusError) as err:
+            client_sparql(handle.endpoint, text)
+        assert time.monotonic() - start < 0.1 + TIMEOUT_SLACK_S
+        assert err.value.status == 503
+
+
+def test_answer_ready_after_the_deadline_is_503(monkeypatch, idioms_store):
+    evaluate = lexiserve.evaluate
+
+    def late_evaluate(query, graph, deadline):
+        result = evaluate(query, graph, deadline=deadline)
+        time.sleep(max(deadline - time.monotonic(), 0) + 0.01)
+        return result
+
+    monkeypatch.setattr(lexiserve, "evaluate", late_evaluate)
+    with serve(ServiceConfig(request_timeout_ms=100), idioms_store) as handle:
+        with pytest.raises(ClientStatusError) as err:
+            client_sparql(handle.endpoint, "SELECT ?c WHERE { ?l wikpa:lang_code ?c . }")
+    assert err.value.status == 503
+
+
+def test_short_sparql_body_is_408_and_a_fresh_connection_is_answered(
+    idioms_store, caplog, capsys
+):
+    with serve(ServiceConfig(request_timeout_ms=200), idioms_store) as handle:
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            start = time.monotonic()
+            # the read allocates the declared length up front, so keep it small
+            sock.sendall(b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\nSELECT")
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                reply += chunk
+            elapsed = time.monotonic() - start
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert "200 ms" in json.loads(body)["error"]
+        assert elapsed < 1.0
+        text = "SELECT ?c WHERE { ?l wikpa:lang_code ?c . } LIMIT 1"
+        assert client_sparql(handle.endpoint, text)[1] == [["cmn"]]
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unreachable_endpoint_is_transport_error():

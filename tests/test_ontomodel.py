@@ -61,12 +61,17 @@ def test_properties_of_revue_includes_articles(onto_fr):
     assert "articles" in names
 
 
-def test_properties_of_matches_brute_scan(onto_en):
-    for cls in onto_en.classes():
-        expected = {
-            p for p, d in onto_en.domain.items() if d == cls
-        } | {p for p, r in onto_en.range.items() if r == cls}
-        assert onto_en.properties_of(cls) == expected
+def test_properties_of_matches_brute_scan(onto_fr, onto_en):
+    for onto in (onto_fr, onto_en, load_ontology(subclass_chain(3000))):
+        subclasses = {cls: set() for cls in onto.classes()}
+        for sub, parent in onto.subclass_of:
+            subclasses[parent].add(sub)
+        for cls in onto.classes():
+            expected = {
+                p for p, d in onto.domain.items() if d == cls
+            } | {p for p, r in onto.range.items() if r == cls}
+            assert onto.properties_of(cls) == expected
+            assert onto.direct_subclasses(cls) == subclasses[cls]
 
 
 def test_direct_subclasses():

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from conftest import IDIOM_ROWS, brute_force_evaluate, random_query
+from conftest import IDIOM_ROWS, brute_force_evaluate, print_query, random_query
 from lexalign.dictstore import (
     TABLES,
     DictionaryStore,
@@ -14,14 +15,15 @@ from lexalign.dictstore import (
     TranslationRow,
     WikiTextRow,
 )
+from lexalign import sparqlet
 from lexalign.sparqlet import (
     Query,
     QueryParseError,
+    QueryTimeout,
     TriplePattern,
     evaluate,
     parse_query,
     plan_order,
-    print_query,
 )
 from lexalign.triplemap import Literal, PrefixedName, Variable, to_triples
 
@@ -238,3 +240,21 @@ def test_query_cost_follows_result_not_store(translation_query_text):
         if pages == 25:
             assert result.rows == brute_force_evaluate(query, graph).rows
     assert lookups[0] == lookups[1]
+
+
+def test_deadline_stops_row_rendering(monkeypatch):
+    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 201)})
+    query = parse_query("SELECT ?x WHERE { ?a wikpa:wiki_text_text ?x . }")
+    render = sparqlet.render
+    rendered = []
+
+    def slow_render(term):  # 200 rows take at least 200 ms to render
+        rendered.append(term)
+        time.sleep(0.001)
+        return render(term)
+
+    graph = to_triples(store)
+    monkeypatch.setattr(sparqlet, "render", slow_render)
+    with pytest.raises(QueryTimeout):
+        evaluate(query, graph, deadline=time.monotonic() + 0.02)
+    assert 0 < len(rendered) < 200

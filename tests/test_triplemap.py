@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES, ORACLE_PREDICATES, brute_force_evaluate, oracle_triples
+from conftest import FIXTURES, ORACLE_PREDICATES, brute_force_evaluate, oracle_triples, to_tables
 from lexalign.dictstore import DictionaryStore, LanguageRow, ingest_tables
 from lexalign.sparqlet import evaluate, parse_query
 from lexalign.triplemap import (
@@ -15,7 +15,6 @@ from lexalign.triplemap import (
     WIKPA_BASE,
     expand,
     render,
-    to_tables,
     to_triples,
 )
 
