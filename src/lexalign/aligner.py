@@ -226,22 +226,42 @@ class NameTable:
         return match
 
 
+class _RunLookups:
+    """A translator that asks the wrapped one once per distinct
+    (word, from_lang, to_lang) and hands out copies of its answers."""
+
+    def __init__(self, translator: Translator):
+        self._translator = translator
+        self._answers: dict[tuple[str, str, str], tuple[str, ...]] = {}
+
+    def translate(self, word: str, from_lang: str, to_lang: str) -> list[str]:
+        key = (word, from_lang, to_lang)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = tuple(self._translator.translate(word, from_lang, to_lang))
+        return list(answer)
+
+
 def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, TranslatedLabel]:
-    """Translate every left-entity display name once; keyed by IRI."""
+    """Translate every left-entity display name once; keyed by IRI.
+
+    A word that recurs across labels and tokens, or as the lowercase
+    fallback of another, is looked up once per call.
+    """
+    lookups = _RunLookups(translator)
     out: dict[str, TranslatedLabel] = {}
     for iri in sorted(o1.entities):
         entity = o1.entities[iri]
         name = o1.display_name(entity)
-        out[iri] = translate_label(name, translator, cfg.source_lang, cfg.target_lang)
+        out[iri] = translate_label(name, lookups, cfg.source_lang, cfg.target_lang)
     return out
 
 
 def _kind_pairs(o1: Ontology, o2: Ontology) -> list[tuple[EntityId, EntityId]]:
     pairs = []
     for kind in Kind:
-        for e1 in o1.by_kind(kind):
-            for e2 in o2.by_kind(kind):
-                pairs.append((e1, e2))
+        rights = o2.by_kind(kind)
+        pairs.extend((e1, e2) for e1 in o1.by_kind(kind) for e2 in rights)
     return pairs
 
 
@@ -335,10 +355,11 @@ def structural_correspondences(
             seen.add((left.iri, right.iri))
             out.append(Correspondence(left, right, 1.0, SOURCE_STRUCTURE))
 
-    trees1 = {c.iri: expand_tree(o1, c, cfg.expansion) for c in o1.classes()}
-    trees2 = {c.iri: expand_tree(o2, c, cfg.expansion) for c in o2.classes()}
-    for c1 in o1.classes():
-        for c2 in o2.classes():
+    classes1, classes2 = o1.classes(), o2.classes()
+    trees1 = {c.iri: expand_tree(o1, c, cfg.expansion) for c in classes1}
+    trees2 = {c.iri: expand_tree(o2, c, cfg.expansion) for c in classes2}
+    for c1 in classes1:
+        for c2 in classes2:
             score = tree_similarity(trees1[c1.iri], trees2[c2.iri], translated_matcher)
             if score > 0:
                 out.append(Correspondence(c1, c2, score, SOURCE_STRUCTURE))

@@ -11,8 +11,14 @@ Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
 endpoint against oversized queries: a query whose answer is not ready
-to encode when the timeout passes is answered 503, and a body that
-stops arriving for that long is answered 408.
+to encode when the timeout passes is answered 503, a body that stops
+arriving for that long is answered 408, and a body declared longer than
+MAX_BODY_BYTES is answered 413 before any of it is read. Every response
+after which the server closes the connection says `Connection: close`.
+
+The client functions keep one keep-alive connection per thread and
+replay a request once on a fresh connection when a reused one turns out
+to have been closed by the server; every route is read-only.
 """
 
 from __future__ import annotations
@@ -22,12 +28,11 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDisconnected
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlencode, urlparse, parse_qs
-from urllib.request import Request, urlopen
+from urllib.parse import urlencode, urlparse, urlsplit, parse_qs
 
 from .dictstore import DictionaryStore, DictionaryError
 from .errors import LexalignError
@@ -38,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PATTERNS = 64
 DEFAULT_TIMEOUT_MS = 5000
+MAX_BODY_BYTES = 1 << 20  # the longest POST body read; the paper query is ~1 KB
 
 
 class ServiceError(LexalignError):
@@ -92,11 +98,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = self.server.config.request_timeout_ms / 1000.0
         super().setup()
 
+    def parse_request(self) -> bool:
+        # once the service is closed, a request on a kept-alive connection
+        # gets no answer; the connection closes and the client reconnects
+        if self.server.closing:
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -176,6 +192,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body's extent is unknown
             self._error(400, "Content-Length must be a non-negative integer")
             return
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            self._error(413, f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}")
+            return
         try:
             body = self.rfile.read(length)
         except TimeoutError:
@@ -215,12 +235,17 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
+    closing = False
 
     def __init__(self, config: ServiceConfig, store: DictionaryStore):
         super().__init__((config.host, config.port), _Handler)
         self.config = config
         self.store = store
         self.triples = to_triples(store)
+
+    def server_close(self) -> None:
+        self.closing = True  # see _Handler.parse_request
+        super().server_close()
 
 
 class ServiceHandle:
@@ -269,23 +294,87 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
     return ServiceHandle(server, thread)
 
 
-def _request_json(request: str | Request, timeout_ms: int) -> dict:
-    """Send a GET (a URL) or any Request and decode the JSON object it returns."""
-    url = request.full_url if isinstance(request, Request) else request
+class _KeepAlive:
+    """One thread's connection, to one origin at a time. It is closed when
+    the thread ends and drops it."""
+
+    conn: Optional[HTTPConnection] = None
+    origin: Optional[tuple[str, str, Optional[int]]] = None
+
+    def __del__(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+
+
+_local = threading.local()  # keep_alive: this thread's _KeepAlive
+# what a server's close of an idle keep-alive connection looks like to the next request
+_STALE = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _connection(origin: tuple[str, str, Optional[int]], timeout: float) -> tuple[HTTPConnection, bool]:
+    """This thread's connection to `origin`, and whether its socket is
+    already open. A connection to another origin is closed first."""
+    held = getattr(_local, "keep_alive", None)
+    if held is None:
+        held = _local.keep_alive = _KeepAlive()
+    if held.conn is None or held.origin != origin:
+        if held.conn is not None:
+            held.conn.close()
+        scheme, host, port = origin
+        held.conn = (HTTPSConnection if scheme == "https" else HTTPConnection)(host, port)
+        held.origin = origin
+    conn = held.conn
+    conn.timeout = timeout  # a fresh socket takes it at connect
+    if conn.sock is None:
+        return conn, False
+    conn.sock.settimeout(timeout)
+    return conn, True
+
+
+def _exchange(conn: HTTPConnection, target: str, body: Optional[bytes]) -> tuple[int, str, bytes]:
+    """One request and its whole response body, so that the connection
+    can carry the next; a failure leaves the connection closed."""
     try:
-        with urlopen(request, timeout=timeout_ms / 1000.0) as resp:
-            body = resp.read()
-    except HTTPError as exc:
+        if body is None:
+            conn.request("GET", target)
+        else:
+            conn.request("POST", target, body, {"Content-Type": "text/plain; charset=utf-8"})
+        with conn.getresponse() as resp:
+            return resp.status, resp.reason, resp.read()
+    except BaseException:
+        conn.close()
+        raise
+
+
+def _request_json(url: str, timeout_ms: int, body: Optional[bytes] = None) -> dict:
+    """GET `url`, or POST `body` to it, and decode the JSON object it returns."""
+    try:
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.hostname, parts.port)
+    except ValueError as exc:  # a port that is not a number
+        raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ClientTransportError(f"cannot reach {url}: not an http or https URL")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    for attempt in (1, 2):
+        conn, reused = _connection(origin, timeout_ms / 1000.0)
+        try:
+            status, reason, data = _exchange(conn, target, body)
+            break
+        except _STALE as exc:
+            if not reused or attempt == 2:
+                raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
+        except (OSError, HTTPException) as exc:
+            raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
+    if status != 200:
         detail = ""
         try:
-            detail = json.loads(exc.read().decode("utf-8")).get("error", "")
+            detail = json.loads(data.decode("utf-8")).get("error", "")
         except Exception:
             pass
-        raise ClientStatusError(exc.code, detail or exc.reason) from exc
-    except (URLError, OSError) as exc:
-        raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
+        raise ClientStatusError(status, detail or reason)
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ClientPayloadError(f"malformed JSON from {url}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -325,13 +414,7 @@ def client_sparql(
 ) -> tuple[list[str], list[list[str]]]:
     """POST /sparql; returns (vars, rows)."""
     url = f"{endpoint.rstrip('/')}/sparql"
-    request = Request(
-        url,
-        data=query_text.encode("utf-8"),
-        headers={"Content-Type": "text/plain; charset=utf-8"},
-        method="POST",
-    )
-    payload = _request_json(request, timeout_ms)
+    payload = _request_json(url, timeout_ms, query_text.encode("utf-8"))
     head = payload.get("head")
     variables = head.get("vars") if isinstance(head, dict) else None
     rows = payload.get("rows")

@@ -188,8 +188,9 @@ def triple_rule(
             emitted.add((left.iri, right.iri))
             out.append((left, right))
 
+    properties2 = o2.properties()
     for p1 in o1.properties():
-        for p2 in o2.properties():
+        for p2 in properties2:
             ranges_ok = _ranges_match(p1, p2, o1, o2, seed, matcher)
             if not ranges_ok:
                 continue
@@ -223,12 +224,12 @@ def subclass_rule(
         return 1.0 if _entities_match(a, b, o1, o2, seed, matcher) else 0.0
 
     out: list[tuple[EntityId, EntityId]] = []
+    subclasses2 = [(c2, sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)) for c2 in o2.classes()]
     for c1 in o1.classes():
         subs1 = sorted(o1.direct_subclasses(c1), key=lambda e: e.iri)
         if not subs1:
             continue
-        for c2 in o2.classes():
-            subs2 = sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)
+        for c2, subs2 in subclasses2:
             if len(subs2) != len(subs1):
                 continue
             if token_sequence_match(subs1, subs2, same, 1.0) is not None:

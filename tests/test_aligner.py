@@ -130,6 +130,82 @@ def test_align_through_http_endpoint(onto_fr, onto_en, biblio_store, thesaurus, 
     assert over_http == full_alignment
 
 
+def test_endpoint_lookups_go_through_the_traced_client_names(
+    monkeypatch, onto_fr, onto_en, biblio_store, cfg
+):
+    # the benchmark's trace wraps these two names in labelkit and replays
+    # each call's arguments 1-3 against the store
+    from lexalign import labelkit
+    from lexalign.lexiserve import ServiceConfig, serve
+
+    calls = []
+    for name in ("client_translate", "client_reverse_translate"):
+
+        def recording(*args, _name=name, _original=getattr(labelkit, name)):
+            answer = _original(*args)
+            calls.append((_name, args, answer))
+            return answer
+
+        monkeypatch.setattr(labelkit, name, recording)
+    replay = {
+        "client_translate": biblio_store.translations,
+        "client_reverse_translate": biblio_store.reverse_translations,
+    }
+    with serve(ServiceConfig(port=0), biblio_store) as handle:
+        translator = labelkit.EndpointTranslator(handle.endpoint)
+        assert translator.translate("université", "fr", "en") == ["school", "university"]
+        assert [(name, args[:4]) for name, args, _ in calls] == [
+            ("client_translate", (handle.endpoint, "université", "fr", "en")),
+            ("client_reverse_translate", (handle.endpoint, "université", "fr", "en")),
+        ]
+        calls.clear()
+        align(onto_fr, onto_en, translator, cfg)
+    names = Counter(name for name, _, _ in calls)
+    assert names["client_translate"] == names["client_reverse_translate"] > 0
+    for name, args, answer in calls:
+        assert args[2:4] == ("fr", "en")
+        assert replay[name](*args[1:4]) == answer
+
+
+class CountingTranslator:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def translate(self, word, from_lang, to_lang):
+        self.calls[word, from_lang, to_lang] += 1
+        return self.inner.translate(word, from_lang, to_lang)
+
+
+def test_align_looks_up_each_word_once_per_run(
+    monkeypatch, onto_fr, onto_en, dict_translator, thesaurus, cfg
+):
+    memoized = CountingTranslator(dict_translator)
+    with_memo = align(onto_fr, onto_en, memoized, cfg, thesaurus)
+    assert memoized.calls and max(memoized.calls.values()) == 1
+
+    def per_call_translated(o1, translator, cfg):
+        return {
+            iri: aligner.translate_label(
+                o1.display_name(o1.entities[iri]), translator, cfg.source_lang, cfg.target_lang
+            )
+            for iri in sorted(o1.entities)
+        }
+
+    monkeypatch.setattr(aligner, "_translated", per_call_translated)
+    per_call = CountingTranslator(dict_translator)
+    assert align(onto_fr, onto_en, per_call, cfg, thesaurus) == with_memo
+    assert set(per_call.calls) == set(memoized.calls)
+    assert sum(per_call.calls.values()) > len(per_call.calls)  # the memo saves lookups here
+
+
+def test_run_lookups_hand_out_copies(dict_translator):
+    lookups = aligner._RunLookups(dict_translator)
+    first = lookups.translate("université", "fr", "en")
+    first.append("mutated")
+    assert lookups.translate("université", "fr", "en") == ["school", "university"]
+
+
 def test_alignment_is_one_to_one(full_alignment):
     lefts = [left for left, _ in full_alignment.pairs()]
     rights = [right for _, right in full_alignment.pairs()]

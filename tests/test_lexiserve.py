@@ -5,7 +5,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
@@ -14,6 +14,7 @@ import pytest
 from conftest import IDIOM_ROWS
 from lexalign import lexiserve
 from lexalign.dictstore import DictionaryStore, WikiTextRow
+from lexalign.labelkit import DictionaryTranslator, EndpointTranslator
 from lexalign.lexiserve import (
     ClientPayloadError,
     ClientStatusError,
@@ -187,6 +188,222 @@ def test_short_sparql_body_is_408_and_a_fresh_connection_is_answered(
         assert client_sparql(handle.endpoint, text)[1] == [["cmn"]]
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_declared_body_over_the_cap_is_413_before_it_is_read(idioms_store, caplog, capsys):
+    with serve(ServiceConfig(request_timeout_ms=200), idioms_store) as handle:
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            start = time.monotonic()
+            sock.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: 100000000\r\n\r\nSELECT"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                reply += chunk
+            elapsed = time.monotonic() - start
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert str(lexiserve.MAX_BODY_BYTES) in json.loads(body)["error"]
+        assert elapsed < 1.0
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_query_at_the_pattern_cap_is_answered(idioms_service, idioms_store):
+    text = "SELECT ?c WHERE { " + "?l wikpa:lang_code ?c . " * lexiserve.DEFAULT_MAX_PATTERNS + "}"
+    codes = sorted(row.lang_code for row in idioms_store.languages.values())
+    assert sorted(client_sparql(idioms_service.endpoint, text)[1]) == [[code] for code in codes]
+
+
+@pytest.mark.parametrize(
+    "length, body, status",
+    [
+        pytest.param("abc", b"", 400, id="bad-length"),
+        pytest.param("1000", b"SELECT", 408, id="short-body"),
+    ],
+)
+def test_responses_that_close_say_so(idioms_store, length, body, status):
+    with serve(ServiceConfig(request_timeout_ms=200), idioms_store) as handle:
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/sparql")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == status
+            assert resp.will_close
+        finally:
+            conn.close()
+
+
+@pytest.fixture()
+def accepts(monkeypatch):
+    """The number of connections every lexiserve service accepts."""
+    count = [0]
+    process_request = lexiserve._Server.process_request
+
+    def counting(self, request, client_address):
+        count[0] += 1
+        return process_request(self, request, client_address)
+
+    monkeypatch.setattr(lexiserve._Server, "process_request", counting)
+    return count
+
+
+@pytest.fixture()
+def attempts(monkeypatch):
+    """The number of requests the client sends, retries included."""
+    count = [0]
+    exchange = lexiserve._exchange
+
+    def counting(*args):
+        count[0] += 1
+        return exchange(*args)
+
+    monkeypatch.setattr(lexiserve, "_exchange", counting)
+    return count
+
+
+def test_client_lookups_share_one_connection(biblio_store, accepts, attempts):
+    with serve(ServiceConfig(), biblio_store) as handle:
+        for title in sorted(p.page_title for p in biblio_store.pages.values()):
+            assert client_translate(handle.endpoint, title, "fr", "en") == biblio_store.translations(
+                title, "fr", "en"
+            )
+            assert client_reverse_translate(
+                handle.endpoint, title, "en", "fr"
+            ) == biblio_store.reverse_translations(title, "en", "fr")
+    assert attempts[0] == 2 * len(biblio_store.pages) > 2
+    assert accepts[0] == 1
+
+
+def test_client_replays_once_on_a_connection_the_server_closed(idioms_store, accepts, attempts):
+    expected = idioms_store.translations("rain cats and dogs", "en", "fr")
+    with serve(ServiceConfig(request_timeout_ms=200), idioms_store) as handle:
+        assert client_translate(handle.endpoint, "rain cats and dogs", "en", "fr") == expected
+        time.sleep(0.5)  # the server drops the idle connection after 200 ms
+        assert client_translate(handle.endpoint, "rain cats and dogs", "en", "fr") == expected
+    assert (attempts[0], accepts[0]) == (3, 2)
+
+
+def test_client_after_a_closing_response_needs_no_replay(
+    monkeypatch, idioms_store, accepts, attempts
+):
+    monkeypatch.setattr(lexiserve, "MAX_BODY_BYTES", 16)
+    expected = idioms_store.translations("rain cats and dogs", "en", "fr")
+    with serve(ServiceConfig(), idioms_store) as handle:
+        assert client_translate(handle.endpoint, "rain cats and dogs", "en", "fr") == expected
+        with pytest.raises(ClientStatusError) as err:
+            client_sparql(handle.endpoint, "SELECT ?c WHERE { ?l wikpa:lang_code ?c . }")
+        assert err.value.status == 413
+        assert client_translate(handle.endpoint, "rain cats and dogs", "en", "fr") == expected
+    assert (attempts[0], accepts[0]) == (3, 2)
+
+
+class _SlowServer(ThreadingHTTPServer):
+    """Keep-alive server that answers /slow a second late; counts accepts."""
+
+    accepted = 0
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+
+class _SlowHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        if self.path.startswith("/slow/"):
+            time.sleep(1.0)
+        body = b'{"translations": []}'
+        try:
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:  # the client gave up
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+def test_timeout_on_a_reused_connection_is_not_replayed(attempts):
+    server = _SlowServer(("127.0.0.1", 0), _SlowHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        assert client_translate(endpoint, "w", "en", "fr") == []
+        start = time.monotonic()
+        with pytest.raises(ClientTransportError):
+            client_translate(endpoint + "/slow", "w", "en", "fr", timeout_ms=200)
+        elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert 0.2 <= elapsed < 0.2 + TIMEOUT_SLACK_S
+    assert (attempts[0], server.accepted) == (2, 1)
+
+
+def test_two_threads_look_up_concurrently(biblio_service, biblio_store):
+    titles = sorted(p.page_title for p in biblio_store.pages.values())
+    local = DictionaryTranslator(biblio_store)
+
+    def lookups(words):
+        remote = EndpointTranslator(biblio_service.endpoint)
+        return [remote.translate(w, src, tgt) for w in words for src, tgt in (("fr", "en"), ("en", "fr"))]
+
+    halves = (titles[0::2], titles[1::2])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lookups, halves))
+    assert got == [
+        [local.translate(w, src, tgt) for w in words for src, tgt in (("fr", "en"), ("en", "fr"))]
+        for words in halves
+    ]
+
+
+def test_switching_endpoints_closes_the_old_connection(idioms_service, biblio_service):
+    client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
+    old = lexiserve._local.keep_alive.conn
+    assert old.sock is not None
+    assert client_reverse_translate(biblio_service.endpoint, "université", "fr", "en") == [
+        "school",
+        "university",
+    ]
+    assert old.sock is None
+    assert lexiserve._local.keep_alive.conn is not old
+
+
+def test_a_thread_that_ends_closes_its_connection(idioms_service):
+    conns = []
+
+    def lookup():
+        client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
+        conns.append(lexiserve._local.keep_alive.conn)
+        assert conns[0].sock is not None
+
+    thread = threading.Thread(target=lookup)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(conns) == 1 and conns[0].sock is None
+
+
+def test_a_closed_service_answers_no_kept_connection(biblio_store):
+    handle = serve(ServiceConfig(), biblio_store)
+    try:
+        assert client_reverse_translate(handle.endpoint, "université", "fr", "en") == [
+            "school",
+            "university",
+        ]
+    finally:
+        handle.close()
+    with pytest.raises(ClientTransportError):
+        client_reverse_translate(handle.endpoint, "université", "fr", "en", timeout_ms=1000)
 
 
 def test_unreachable_endpoint_is_transport_error():
