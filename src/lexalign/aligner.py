@@ -15,6 +15,7 @@ the same flavor, individual/individual) are ever compared.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Optional
 from .errors import LexalignError
 from .labelkit import TranslatedLabel, Translator, token_sequence_match, tokenize, translate_label
 from .ontomodel import EntityId, Kind, Ontology
-from .strsim import DEFAULT_SW_SCORING, jaro_winkler, sw_normalized
+from .strsim import DEFAULT_SW_SCORING, jaro_winkler, jaro_winkler_bound, sw_normalized
 from .structsim import (
     DEFAULT_EXPANSION,
     ExpansionConfig,
@@ -145,6 +146,11 @@ def _token_similarity(cfg: MatchConfig) -> Callable[[str, str], float]:
     return sim
 
 
+# A pair is skipped only when its bound is this far below the floor: the
+# Winkler step's rounding is not provably monotone in the Jaro score.
+_BOUND_MARGIN = 1e-9
+
+
 class NameTable:
     """The name comparisons of one align() run, each computed once.
 
@@ -153,15 +159,26 @@ class NameTable:
     keyed by the two token tuples. It is computed at `floor`, the lowest
     threshold any reader uses, and the cover at a threshold t >= floor is
     the stored score when that is >= t and none otherwise. The tokens of
-    each name and the similarity of each token pair are memoized too.
-    Every entry is a pure function of its key, so reading the table gives
-    the same answers as comparing afresh.
+    each name are memoized, and so is each token pair's similarity, with
+    one exception: given `bound`, an upper bound on the similarity called
+    as bound(a, b, counts_a, counts_b) with each token's character
+    counts, a pair whose bound is below the floor is stored as 0.0 without
+    scoring it. A cover only reads similarities >= floor, so no cover
+    changes. Every entry is a pure function of its key, so reading the
+    table gives the same answers as comparing afresh.
     """
 
-    def __init__(self, similarity: Callable[[str, str], float], floor: float):
+    def __init__(
+        self,
+        similarity: Callable[[str, str], float],
+        floor: float,
+        bound: Optional[Callable[[str, str, Counter, Counter], float]] = None,
+    ):
         self._similarity = similarity
         self._floor = floor
+        self._bound = bound
         self._tokens: dict[str, tuple[str, ...]] = {}
+        self._counts: dict[str, Counter] = {}
         self._pairs: dict[tuple[str, str], float] = {}
         self._covers: dict[tuple[tuple[str, ...], tuple[str, ...]], Optional[float]] = {}
 
@@ -171,10 +188,24 @@ class NameTable:
             tokens = self._tokens[name] = tuple(tokenize(name))
         return tokens
 
+    def _char_counts(self, token: str) -> Counter:
+        counts = self._counts.get(token)
+        if counts is None:
+            counts = self._counts[token] = Counter(token)
+        return counts
+
     def _pair_similarity(self, a: str, b: str) -> float:
         score = self._pairs.get((a, b))
         if score is None:
-            score = self._pairs[a, b] = self._similarity(a, b)
+            if (
+                self._bound is not None
+                and self._bound(a, b, self._char_counts(a), self._char_counts(b))
+                < self._floor - _BOUND_MARGIN
+            ):
+                score = 0.0
+            else:
+                score = self._similarity(a, b)
+            self._pairs[a, b] = score
         return score
 
     def cover(
@@ -410,12 +441,13 @@ def align(
 ) -> Alignment:
     """Run the full pipeline and return the one-to-one alignment.
 
-    One NameTable serves every Jaro-Winkler name comparison of the run.
+    One NameTable serves every Jaro-Winkler name comparison of the run,
+    and skips the token pairs whose Jaro-Winkler bound is below its floor.
     With Smith-Waterman on, the string stage scores tokens differently and
-    keeps a table of its own.
+    keeps a table of its own, which scores every pair.
     """
     tree_threshold = cfg.expansion.label_matcher_threshold
-    table = NameTable(jaro_winkler, min(cfg.jw_threshold, tree_threshold))
+    table = NameTable(jaro_winkler, min(cfg.jw_threshold, tree_threshold), jaro_winkler_bound)
     translations = _translated(o1, translator, cfg)
     string_stage = string_correspondences(
         o1, o2, translations, cfg, None if cfg.sw_enabled else table

@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_PATTERNS = 64
 DEFAULT_TIMEOUT_MS = 5000
 MAX_BODY_BYTES = 1 << 20  # the longest POST body read; the paper query is ~1 KB
+POLL_INTERVAL_S = 0.05  # how long close() waits at most for the serving loop to notice
 
 
 class ServiceError(LexalignError):
@@ -289,7 +290,9 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
         server = _Server(config, store)
     except OSError as exc:
         raise ServiceError(f"cannot bind {config.host}:{config.port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, name="lexiserve", daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_INTERVAL_S,), name="lexiserve", daemon=True
+    )
     thread.start()
     return ServiceHandle(server, thread)
 

@@ -6,7 +6,9 @@ case; callers that want case-insensitive matching lowercase first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 WINKLER_PREFIX_SCALE = 0.1
 WINKLER_MAX_PREFIX = 4
@@ -63,15 +65,51 @@ def jaro(s1: str, s2: str) -> float:
     return (m / len(s1) + m / len(s2) + (m - transpositions) / m) / 3
 
 
-def jaro_winkler(s1: str, s2: str) -> float:
-    """Jaro score boosted by the shared prefix: j + l * 0.1 * (1 - j), l <= 4."""
-    j = jaro(s1, s2)
+def _winkler(s1: str, s2: str, j: float) -> float:
     prefix = 0
     for a, b in zip(s1, s2):
         if a != b or prefix == WINKLER_MAX_PREFIX:
             break
         prefix += 1
     return j + prefix * WINKLER_PREFIX_SCALE * (1.0 - j)
+
+
+def jaro_winkler(s1: str, s2: str) -> float:
+    """Jaro score boosted by the shared prefix: j + l * 0.1 * (1 - j), l <= 4."""
+    return _winkler(s1, s2, jaro(s1, s2))
+
+
+def jaro_winkler_bound(
+    s1: str,
+    s2: str,
+    counts1: Optional[Mapping[str, int]] = None,
+    counts2: Optional[Mapping[str, int]] = None,
+) -> float:
+    """An upper bound on Jaro-Winkler: always >= jaro_winkler(s1, s2).
+
+    Jaro pairs equal characters one to one, so the number of matches m is
+    at most the sum over shared characters c of min(count1[c], count2[c]),
+    and the transposition term (m - t) / m is at most 1. That gives
+    j <= (m/|s1| + m/|s2| + 1) / 3, which the Winkler step, increasing in
+    j, boosts with the exact common prefix (Dreßler & Ngonga Ngomo, "On
+    the efficient execution of bounded Jaro-Winkler distances", SWJ
+    2017). `counts1` and `counts2` are the character counts of the two
+    strings (collections.Counter); a caller that compares a string many
+    times passes them in, so a pair costs one key intersection.
+    """
+    if not s1 or not s2:
+        return 1.0 if s1 == s2 else 0.0
+    if counts1 is None:
+        counts1 = Counter(s1)
+    if counts2 is None:
+        counts2 = Counter(s2)
+    m = 0
+    for ch in counts1.keys() & counts2.keys():
+        n1, n2 = counts1[ch], counts2[ch]
+        m += n1 if n1 < n2 else n2
+    if m == 0:
+        return 0.0
+    return _winkler(s1, s2, (m / len(s1) + m / len(s2) + 1.0) / 3)
 
 
 def smith_waterman(

@@ -33,7 +33,8 @@ from lexalign.aligner import (
 )
 from lexalign.ontomodel import EntityId, Kind, load_ontology
 from lexalign.structsim import ExpansionConfig
-from lexalign.strsim import jaro_winkler
+from lexalign.labelkit import token_sequence_match
+from lexalign.strsim import jaro_winkler, jaro_winkler_bound, sw_normalized
 
 FR = "http://example.org/biblio-fr#"
 EN = "http://example.org/biblio-en#"
@@ -372,6 +373,87 @@ def test_name_table_refuses_a_threshold_below_its_floor():
     assert table.cover(("film",), ("firm",), 0.95) is None
     with pytest.raises(AlignerError, match="floor"):
         table.cover(("film",), ("film",), 0.8)
+
+
+_TOKENS = st.text(alphabet="abcé", min_size=1, max_size=7)
+
+
+@st.composite
+def token_tuple_pair(draw):
+    """Two token tuples, the second often a reordered near-copy of the first."""
+    left = draw(st.lists(_TOKENS, min_size=1, max_size=3))
+    right = []
+    for token in left:
+        edit = draw(st.sampled_from(("keep", "swap", "drop", "fresh")))
+        i = draw(st.integers(0, len(token) - 1))
+        if edit == "swap" and i + 1 < len(token):
+            token = token[:i] + token[i + 1] + token[i] + token[i + 2 :]
+        elif edit == "drop" and len(token) > 1:
+            token = token[:i] + token[i + 1 :]
+        elif edit == "fresh":
+            token = draw(_TOKENS)
+        right.append(token)
+    right = draw(st.permutations(right))
+    if draw(st.booleans()):
+        right = right[1:]  # tuples of different lengths never match
+    return tuple(left), tuple(right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(token_tuple_pair(), min_size=1, max_size=6), _THRESHOLDS)
+def test_bounded_name_table_gives_the_unbounded_covers(pairs, floor):
+    table = NameTable(jaro_winkler, floor, jaro_winkler_bound)
+    for tokens_a, tokens_b in pairs:
+        expected = token_sequence_match(tokens_a, tokens_b, jaro_winkler, floor)
+        for threshold in (0.8, 0.9, 0.95, 1.0):
+            if threshold >= floor:
+                gated = expected if expected is not None and expected >= threshold else None
+                assert table.cover(tokens_a, tokens_b, threshold) == gated
+
+
+def _record_table_pairs(monkeypatch) -> dict:
+    """Every token pair each NameTable is asked to compare, per table."""
+    asked: dict = {}
+    compare = NameTable._pair_similarity
+
+    def recording(self, a, b):
+        asked.setdefault(self, set()).add((a, b))
+        return compare(self, a, b)
+
+    monkeypatch.setattr(NameTable, "_pair_similarity", recording)
+    return asked
+
+
+def test_align_skips_token_pairs_below_the_floor(
+    monkeypatch, onto_fr, onto_en, dict_translator, thesaurus, cfg
+):
+    asked = _record_table_pairs(monkeypatch)
+    scored = set()
+
+    def recording(a, b):
+        scored.add((a, b))
+        return jaro_winkler(a, b)
+
+    monkeypatch.setattr(aligner, "jaro_winkler", recording)
+    align(onto_fr, onto_en, dict_translator, cfg, thesaurus)
+    (pairs,) = asked.values()
+    assert scored and scored < pairs
+
+
+def test_smith_waterman_table_scores_every_pair(
+    monkeypatch, onto_fr, onto_en, dict_translator, thesaurus
+):
+    asked = _record_table_pairs(monkeypatch)
+    scored = set()
+
+    def recording(a, b, scoring):
+        scored.add((a, b))
+        return sw_normalized(a, b, scoring)
+
+    monkeypatch.setattr(aligner, "sw_normalized", recording)
+    align(onto_fr, onto_en, dict_translator, MatchConfig("fr", "en", sw_enabled=True), thesaurus)
+    assert len(asked) == 2
+    assert scored in asked.values()
 
 
 def test_evaluate_benchmark_scale_counts():

@@ -406,6 +406,14 @@ def test_a_closed_service_answers_no_kept_connection(biblio_store):
         client_reverse_translate(handle.endpoint, "université", "fr", "en", timeout_ms=1000)
 
 
+def test_close_returns_within_the_poll_interval(biblio_store):
+    handle = serve(ServiceConfig(port=0), biblio_store)
+    assert client_translate(handle.endpoint, "isbn", "en", "fr") == []
+    start = time.monotonic()
+    handle.close()
+    assert time.monotonic() - start < 0.2
+
+
 def test_unreachable_endpoint_is_transport_error():
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import all_strings, exhaustive_local_alignment
 from lexalign.strsim import (
@@ -8,6 +11,7 @@ from lexalign.strsim import (
     SwScoring,
     jaro,
     jaro_winkler,
+    jaro_winkler_bound,
     smith_waterman,
     sw_normalized,
 )
@@ -65,6 +69,43 @@ def test_symmetry_range_and_dominance():
         assert 0.0 <= j <= 1.0
         assert 0.0 <= jw <= 1.0
         assert jw >= j - 1e-12
+
+
+@st.composite
+def related_pair(draw):
+    """A string and an edit of it: adjacent swaps, repeats, a longer shared
+    prefix or a changed tail, so that many pairs score near the top."""
+    s1 = draw(st.text(alphabet="abcé", max_size=12))
+    s2 = list(s1)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, max(len(s2) - 2, 0)))
+        edit = draw(st.sampled_from(("swap", "repeat", "drop", "change")))
+        if edit == "swap" and len(s2) > 1:
+            s2[i], s2[i + 1] = s2[i + 1], s2[i]
+        elif edit == "repeat" and s2:
+            s2.insert(i, s2[i])
+        elif edit == "drop" and s2:
+            del s2[i]
+        elif edit == "change" and s2:
+            s2[i] = draw(st.sampled_from("abcé"))
+    prefix = draw(st.sampled_from(("", "pre", "prefix")))
+    return prefix + s1, prefix + "".join(s2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.tuples(st.text(), st.text()), related_pair()))
+@example(("MARTHA", "MARHTA"))
+@example(("", ""))
+@example(("", "a"))
+@example(("aaaa", "aa"))
+@example(("prefixab", "prefixba"))
+@example(("crate", "trace"))
+@example(("école", "ecole"))
+def test_jaro_winkler_bound_is_never_below_jaro_winkler(pair):
+    s1, s2 = pair
+    bound = jaro_winkler_bound(s1, s2)
+    assert bound >= jaro_winkler(s1, s2)
+    assert jaro_winkler_bound(s1, s2, Counter(s1), Counter(s2)) == bound
 
 
 def test_smith_waterman_aab_ab():
