@@ -11,10 +11,12 @@ Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
 endpoint against oversized queries: a query whose answer is not ready
-to encode when the timeout passes is answered 503, a body that stops
-arriving for that long is answered 408, and a body declared longer than
-MAX_BODY_BYTES is answered 413 before any of it is read. Every response
-after which the server closes the connection says `Connection: close`.
+to encode when the timeout passes is answered 503, a body not wholly
+received by then is answered 408, and a body declared longer than
+MAX_BODY_BYTES is answered 413 before any of it is read. A connection
+beyond MAX_CONNECTIONS open at once is answered 503 without a thread.
+Every response after which the server closes the connection says
+`Connection: close`.
 
 The client functions keep one keep-alive connection per thread and
 replay a request once on a fresh connection when a reused one turns out
@@ -45,6 +47,7 @@ DEFAULT_MAX_PATTERNS = 64
 DEFAULT_TIMEOUT_MS = 5000
 MAX_BODY_BYTES = 1 << 20  # the longest POST body read; the paper query is ~1 KB
 POLL_INTERVAL_S = 0.05  # how long close() waits at most for the serving loop to notice
+MAX_CONNECTIONS = 64  # connections served at once; each holds a thread while it is open
 
 
 class ServiceError(LexalignError):
@@ -197,9 +200,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body stays unread
             self._error(413, f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}")
             return
-        try:
-            body = self.rfile.read(length)
-        except TimeoutError:
+        body = self._read_body(length, deadline)
+        if body is None:
             self.close_connection = True  # the stream stops mid-body
             self._error(
                 408, f"request body not received within {self.server.config.request_timeout_ms} ms"
@@ -230,6 +232,27 @@ class _Handler(BaseHTTPRequestHandler):
             logger.exception("sparql request failed")
             self._error(500, str(exc))
 
+    def _read_body(self, length: int, deadline: float) -> bytes | None:
+        """The body as read by `deadline`, or None when it is still
+        arriving then; the read timeout alone bounds each recv, not their
+        sum. A body cut short by the client's close is returned short."""
+        body = bytearray()
+        try:
+            while len(body) < length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return None
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(length - len(body))
+                if not chunk:
+                    break
+                body += chunk
+        except TimeoutError:
+            return None
+        finally:
+            self.connection.settimeout(self.timeout)
+        return bytes(body)
+
     def log_message(self, format: str, *args) -> None:  # quiet by default
         logger.debug("%s - %s", self.address_string(), format % args)
 
@@ -243,6 +266,44 @@ class _Server(ThreadingHTTPServer):
         self.config = config
         self.store = store
         self.triples = to_triples(store)
+        self.connection_slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self.connection_slots.acquire(blocking=False):
+            self._refuse(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the slot
+            self.connection_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.connection_slots.release()
+
+    def _refuse(self, request) -> None:
+        """Answer 503 and close, from the serving thread, which must not
+        block: the reply fits an empty send buffer."""
+        body = json.dumps(
+            {"error": f"the service holds its limit of {MAX_CONNECTIONS} connections"}
+        ).encode("utf-8")
+        head = (
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json; charset=utf-8\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        )
+        request.setblocking(False)
+        try:
+            request.sendall(head.encode("ascii") + body)
+            # read what the request sent so far: closing with unread
+            # data resets the connection, and the reply may be lost
+            request.recv(1 << 16)
+        except OSError:
+            pass
+        self.shutdown_request(request)
 
     def server_close(self) -> None:
         self.closing = True  # see _Handler.parse_request

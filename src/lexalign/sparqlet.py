@@ -92,46 +92,39 @@ _TOKEN_RE = re.compile(
   | (?P<int>[0-9]+)
   | (?P<literal>"[^"]*")
   | (?P<punct>[{};.])
+  | (?P<bad>.)
 """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# a token: (kind, text, offset of its first character)
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text` without whitespace, ending with an "eof"
+    token at the end of the text."""
     tokens = []
-    line = 1
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _parse_error(f"unexpected character {m.group()!r}", text, m.start())
         if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
+def _parse_error(message: str, text: str, offset: int) -> QueryParseError:
+    """The error for `offset` in `text`, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return QueryParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], prefixes: dict[str, str]):
-        self.tokens = tokens
+    def __init__(self, text: str, prefixes: dict[str, str]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes = prefixes
 
@@ -144,40 +137,40 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        raise QueryParseError(message, tok.line, tok.column)
+        raise _parse_error(message, self.text, (tok or self.peek())[2])
 
     def expect_keyword(self, word: str) -> None:
         tok = self.next()
-        if tok.kind != "name" or tok.text.upper() != word:
+        if tok[0] != "name" or tok[1].upper() != word:
             self.fail(f"expected {word}", tok)
 
     def expect_punct(self, char: str) -> None:
         tok = self.next()
-        if tok.kind != "punct" or tok.text != char:
+        if tok[0] != "punct" or tok[1] != char:
             self.fail(f"expected {char!r}", tok)
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text.upper() == word
+        kind, text, _ = self.peek()
+        return kind == "name" and text.upper() == word
 
     def at_punct(self, char: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == char
+        kind, text, _ = self.peek()
+        return kind == "punct" and text == char
 
     def parse_term(self, *, allow_literal: bool) -> Term:
         tok = self.next()
-        if tok.kind == "var":
-            return Variable(tok.text[1:])
-        if tok.kind == "pname":
-            prefix, local = tok.text.split(":", 1)
+        kind, text, _ = tok
+        if kind == "var":
+            return Variable(text[1:])
+        if kind == "pname":
+            prefix, local = text.split(":", 1)
             if prefix not in self.prefixes:
                 self.fail(f"unknown prefix: {prefix!r}", tok)
             return PrefixedName(prefix, local)
-        if tok.kind == "literal":
+        if kind == "literal":
             if not allow_literal:
                 self.fail("literal not allowed here", tok)
-            return Literal(tok.text[1:-1])
+            return Literal(text[1:-1])
         self.fail("expected variable, prefixed name or literal", tok)
         raise AssertionError("unreachable")
 
@@ -197,17 +190,16 @@ class _Parser:
     def parse_query(self) -> Query:
         self.expect_keyword("SELECT")
         select_vars = []
-        while self.peek().kind == "var":
-            select_vars.append(Variable(self.next().text[1:]))
+        while self.peek()[0] == "var":
+            select_vars.append(Variable(self.next()[1][1:]))
         if not select_vars:
             self.fail("SELECT needs at least one variable")
         self.expect_keyword("WHERE")
         self.expect_punct("{")
         patterns: list[TriplePattern] = []
         while not self.at_punct("}"):
-            where_tok = self.peek()
-            if where_tok.kind == "eof":
-                self.fail("unterminated WHERE block", where_tok)
+            if self.peek()[0] == "eof":
+                self.fail("unterminated WHERE block")
             patterns.extend(self.parse_group())
             if self.at_punct("."):
                 self.next()
@@ -218,14 +210,13 @@ class _Parser:
         if self.at_keyword("LIMIT"):
             self.next()
             tok = self.next()
-            if tok.kind != "int":
+            if tok[0] != "int":
                 self.fail("expected integer after LIMIT", tok)
-            limit = int(tok.text)
+            limit = int(tok[1])
             if limit <= 0:
                 self.fail("LIMIT must be positive", tok)
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail("trailing input after query", tok)
+        if self.peek()[0] != "eof":
+            self.fail("trailing input after query")
         used = {
             term.name
             for p in patterns
@@ -241,8 +232,7 @@ class _Parser:
 def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     """Parse `text`; prefixed names are checked against `prefixes`
     (default: the wikpa binding). Errors carry line and column."""
-    parser = _Parser(_tokenize(text), DEFAULT_PREFIXES if prefixes is None else prefixes)
-    return parser.parse_query()
+    return _Parser(text, DEFAULT_PREFIXES if prefixes is None else prefixes).parse_query()
 
 
 def plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePattern]:
@@ -261,39 +251,57 @@ def plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePatt
     deterministic. Any order evaluates to the same result; this follows
     Stocker et al., "SPARQL basic graph pattern optimization using
     selectivity estimation", WWW 2008.
+
+    Cost: each pattern's bound-term count and tier are updated when one
+    of its variables is first bound, which is linear in the number of
+    variable occurrences; each step then takes the least stored key
+    over the remaining patterns. `store.count` is called only to break
+    ties between tier-2 patterns, at most twice per pattern.
     """
     patterns = query.patterns
-    # matches over each pattern's constants and their share of its
-    # predicate's triples; a constant subject never needs them
-    matches: list[tuple[int, float]] = []
-    for p in patterns:
-        s, pred, o = (None if isinstance(t, Variable) else t for t in _terms(p))
-        if store is None or s is not None:
-            matches.append((0, 0.0))
-        else:
+    # per pattern [-bound terms, tier]: tier 0 once its subject is bound,
+    # 1 once its object is a bound variable, else 2; updated through the
+    # occurrences of each variable when it is first bound
+    keys = []
+    occurrences: dict[str, list[tuple[int, int]]] = {}
+    for idx, p in enumerate(patterns):
+        constants = 0
+        for position, term in enumerate(_terms(p)):
+            if isinstance(term, Variable):
+                occurrences.setdefault(term.name, []).append((idx, position))
+            else:
+                constants += 1
+        keys.append([-constants, 2 if isinstance(p.subject, Variable) else 0])
+    matches: dict[int, tuple[int, float]] = {}
+
+    def estimate(idx: int) -> tuple[int, float]:
+        # matches over the pattern's constants and their share of its
+        # predicate's triples; asked only of tied tier-2 patterns
+        if idx not in matches:
+            _, pred, o = (None if isinstance(t, Variable) else t for t in _terms(patterns[idx]))
             found = store.count(None, pred, o)
-            matches.append((found, found / max(store.count(None, pred, None), 1)))
-    bound: set[str] = set()
-
-    def is_bound(term: Term) -> bool:
-        return not isinstance(term, Variable) or term.name in bound
-
-    def rank(idx: int) -> tuple:
-        p = patterns[idx]
-        bound_terms = sum(map(is_bound, _terms(p)))
-        if is_bound(p.subject):
-            return (-bound_terms, 0, idx)
-        if isinstance(p.object, Variable) and is_bound(p.object):
-            return (-bound_terms, 1, idx)
-        return (-bound_terms, 2, *matches[idx], idx)
+            matches[idx] = (found, found / max(store.count(None, pred, None), 1))
+        return matches[idx]
 
     remaining = list(range(len(patterns)))
     plan = []
     while remaining:
-        best = min(remaining, key=rank)
-        remaining.remove(best)
-        plan.append(patterns[best])
-        bound.update(t.name for t in _terms(patterns[best]) if isinstance(t, Variable))
+        best = min(keys[idx] for idx in remaining)
+        tied = [idx for idx in remaining if keys[idx] == best]
+        pick = tied[0]
+        if len(tied) > 1 and best[1] == 2 and store is not None:
+            pick = min(tied, key=lambda idx: (*estimate(idx), idx))
+        remaining.remove(pick)
+        plan.append(patterns[pick])
+        for term in _terms(patterns[pick]):
+            if isinstance(term, Variable):
+                for idx, position in occurrences.pop(term.name, ()):
+                    key = keys[idx]
+                    key[0] -= 1
+                    if position == 0:
+                        key[1] = 0
+                    elif position == 2:
+                        key[1] = min(key[1], 1)
     return plan
 
 

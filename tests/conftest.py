@@ -241,6 +241,45 @@ def random_query(store: TableGraph, rng: random.Random, max_patterns: int = 4) -
     return Query(tuple(select), tuple(patterns), limit)
 
 
+def reference_plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePattern]:
+    """sparqlet.plan_order's greedy rule with every remaining pattern
+    re-ranked at every step and every pattern's matches counted up
+    front; the planner's oracle."""
+    patterns = query.patterns
+    matches: list[tuple[int, float]] = []
+    for p in patterns:
+        terms = (p.subject, p.predicate, p.object)
+        s, pred, o = (None if isinstance(t, Variable) else t for t in terms)
+        if store is None or s is not None:
+            matches.append((0, 0.0))
+        else:
+            found = store.count(None, pred, o)
+            matches.append((found, found / max(store.count(None, pred, None), 1)))
+    bound: set[str] = set()
+
+    def is_bound(term) -> bool:
+        return not isinstance(term, Variable) or term.name in bound
+
+    def rank(idx: int) -> tuple:
+        p = patterns[idx]
+        bound_terms = sum(map(is_bound, (p.subject, p.predicate, p.object)))
+        if is_bound(p.subject):
+            return (-bound_terms, 0, idx)
+        if isinstance(p.object, Variable) and is_bound(p.object):
+            return (-bound_terms, 1, idx)
+        return (-bound_terms, 2, *matches[idx], idx)
+
+    remaining = list(range(len(patterns)))
+    plan = []
+    while remaining:
+        best = min(remaining, key=rank)
+        remaining.remove(best)
+        plan.append(patterns[best])
+        p = patterns[best]
+        bound.update(t.name for t in (p.subject, p.predicate, p.object) if isinstance(t, Variable))
+    return plan
+
+
 def brute_force_bottleneck_cover(tokens_a, tokens_b, pair_similarity, threshold):
     """Largest smallest-pair similarity over every complete one-to-one
     cover with all pairs >= threshold, trying each permutation of

@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import select
 import socket
 import threading
 import time
@@ -174,7 +175,6 @@ def test_short_sparql_body_is_408_and_a_fresh_connection_is_answered(
     with serve(ServiceConfig(request_timeout_ms=200), idioms_store) as handle:
         with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
             start = time.monotonic()
-            # the read allocates the declared length up front, so keep it small
             sock.sendall(b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\nSELECT")
             reply = b""
             while chunk := sock.recv(4096):  # the server closes the connection
@@ -188,6 +188,73 @@ def test_short_sparql_body_is_408_and_a_fresh_connection_is_answered(
         assert client_sparql(handle.endpoint, text)[1] == [["cmn"]]
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _read_until_closed(sock: socket.socket) -> bytes:
+    reply = b""
+    try:
+        while chunk := sock.recv(4096):
+            reply += chunk
+    except ConnectionResetError:  # a byte sent after the server closed
+        pass
+    return reply
+
+
+def test_dripped_sparql_body_is_408_within_the_timeout(idioms_store, caplog, capsys):
+    body = b"SELECT ?c WHERE { ?l wikpa:lang_code ?c . }  "
+    with serve(ServiceConfig(request_timeout_ms=300), idioms_store) as handle:
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            start = time.monotonic()
+            sock.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            # each byte arrives well inside the read timeout, but the body
+            # as a whole would take 2.4 s
+            for byte in body[:12]:
+                sock.sendall(bytes([byte]))
+                if select.select([sock], [], [], 0.2)[0]:  # the server has answered
+                    break
+            reply = _read_until_closed(sock)
+            elapsed = time.monotonic() - start
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"\r\nConnection: close" in head
+        assert "300 ms" in json.loads(payload)["error"]
+        assert elapsed < 0.3 + TIMEOUT_SLACK_S
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_connection_over_the_cap_is_503_without_a_thread(monkeypatch, idioms_store):
+    monkeypatch.setattr(lexiserve, "MAX_CONNECTIONS", 2)
+    with serve(ServiceConfig(), idioms_store) as handle:
+        held = [http.client.HTTPConnection(handle.host, handle.port, timeout=5) for _ in range(2)]
+        try:
+            for conn in held:  # each kept-alive connection holds its thread
+                conn.request("GET", "/stats")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+            threads = threading.active_count()
+            with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+                sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = _read_until_closed(sock)
+            assert threading.active_count() <= threads
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503 ")
+            assert b"\r\nConnection: close" in head
+            assert "limit of 2 connections" in json.loads(payload)["error"]
+            held[0].request("GET", "/stats")  # the held connections are still served
+            assert held[0].getresponse().status == 200
+        finally:
+            for conn in held:
+                conn.close()
+        # both threads end and give their slots back, and no more than that
+        slots = handle._server.connection_slots
+        assert slots.acquire(timeout=5) and slots.acquire(timeout=5)
+        assert not slots.acquire(blocking=False)
+        slots.release()
+        slots.release()
 
 
 def test_declared_body_over_the_cap_is_413_before_it_is_read(idioms_store, caplog, capsys):

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from conftest import IDIOM_ROWS, brute_force_evaluate, print_query, random_query
+from conftest import (
+    IDIOM_ROWS,
+    brute_force_evaluate,
+    print_query,
+    random_query,
+    reference_plan_order,
+)
 from lexalign.dictstore import (
     TABLES,
     DictionaryStore,
@@ -55,6 +61,67 @@ def test_syntax_error_carries_line_and_column():
         parse_query(text)
     assert err.value.line == 3
     assert "3:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        pytest.param(
+            'SELECT ?x @ WHERE {\n  ?x wikpa:lang_code "en" .\n}',
+            (1, 11),
+            "unexpected character '@'",
+            id="bad-character-first-line",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE {\n  ?x wikpa:lang_code "en" .\n} LIMIT 3 #',
+            (3, 11),
+            "unexpected character '#'",
+            id="bad-character-last-line",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE {\n  ?x wikpa:lang_code "en" .\n  ',
+            (3, 3),
+            "unterminated WHERE block",
+            id="unterminated-where",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE {\n  ?x wikpa:wiki_text_text "two\nlines" ; "p" ?y .\n}',
+            (3, 10),
+            "literal not allowed here",
+            id="after-multi-line-literal",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE {\n  ?x wikpa:wiki_text_text "two\nlines"; wikpa:wiki_text_id ?y ! }',
+            (3, 31),
+            "unexpected character '!'",
+            id="bad-character-after-multi-line-literal",
+        ),
+        pytest.param(
+            "SELECT ?x WHERE {\n  ?x wikpa:lang_code ?c ;\n     wikpa:lang_id ?i .\n"
+            "  ?y nope:lang_id ?i .\n}",
+            (4, 6),
+            "unknown prefix: 'nope'",
+            id="unknown-prefix-after-multi-line-group",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE { ?x wikpa:lang_code "en" . } LIMIT',
+            (1, 52),
+            "expected integer after LIMIT",
+            id="limit-at-end-of-input",
+        ),
+        pytest.param(
+            '\r\n\tSELECT ?x WHERE {\r\n\t?x wikpa:lang_code "en" .\r\n} LIMIT 0',
+            (4, 9),
+            "LIMIT must be positive",
+            id="crlf-and-tabs",
+        ),
+    ],
+)
+def test_parse_error_positions(text, position, message):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value) == f"{position[0]}:{position[1]}: {message}"
 
 
 def test_unknown_prefix_is_parse_error():
@@ -133,6 +200,41 @@ def test_plan_order_joins_each_pattern_to_bound_variables(idioms_triples, transl
         if pattern.subject == Variable("langSource"):
             assert position[pattern] > position[entry_lang]
     assert all(plan_order(query, idioms_triples) == ordered for _ in range(3))
+
+
+def test_plan_order_matches_the_reference_planner(idioms_triples, biblio_store):
+    rng = random.Random(20260418)
+    for graph in (idioms_triples, to_triples(biblio_store)):
+        for max_patterns in range(1, 9):
+            for _ in range(60):
+                query = random_query(graph, rng, max_patterns)
+                assert plan_order(query) == reference_plan_order(query), print_query(query)
+                assert plan_order(query, graph) == reference_plan_order(query, graph), print_query(
+                    query
+                )
+
+
+def test_paper_query_plan_matches_the_reference_planner(idioms_triples, translation_query_text):
+    query = parse_query(translation_query_text)
+    graphs = [idioms_triples] + [to_triples(shared_word_store(pages)) for pages in (25, 200)]
+    for graph in graphs:
+        assert plan_order(query, graph) == reference_plan_order(query, graph)
+    assert plan_order(query) == reference_plan_order(query)
+
+
+def test_planning_the_paper_query_counts_only_tied_patterns(idioms_store, translation_query_text):
+    query = parse_query(translation_query_text)
+    graph = to_triples(idioms_store)
+    count = graph.count
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    graph.count = counted
+    assert plan_order(query, graph) == reference_plan_order(query, to_triples(idioms_store))
+    assert 0 < len(calls) <= 8
 
 
 def test_pattern_order_never_changes_result(idioms_triples, translation_query_text):
