@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 from .errors import LexalignError
 from .labelkit import TranslatedLabel, Translator, token_sequence_match, tokenize, translate_label
 from .ontomodel import EntityId, Kind, Ontology
-from .strsim import DEFAULT_SW_SCORING, jaro_winkler, jaro_winkler_bound, sw_normalized
+from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
 from .structsim import (
     DEFAULT_EXPANSION,
     ExpansionConfig,
@@ -136,14 +136,12 @@ def evaluate(alignment: Alignment, reference: Alignment) -> Metrics:
     return Metrics(precision, recall, len(a_pairs), len(r_pairs), common)
 
 
-def _token_similarity(cfg: MatchConfig) -> Callable[[str, str], float]:
-    if not cfg.sw_enabled:
-        return jaro_winkler
+def _jw_or_sw(a: str, b: str) -> float:
+    return max(jaro_winkler(a, b), sw_normalized(a, b))
 
-    def sim(a: str, b: str) -> float:
-        return max(jaro_winkler(a, b), sw_normalized(a, b, DEFAULT_SW_SCORING))
 
-    return sim
+def _jw_or_sw_bound(a: str, b: str, ca: Counter, cb: Counter) -> float:
+    return max(jaro_winkler_bound(a, b, ca, cb), sw_normalized_bound(a, b, ca, cb))
 
 
 # A pair is skipped only when its bound is this far below the floor: the
@@ -159,11 +157,11 @@ class NameTable:
     keyed by the two token tuples. It is computed at `floor`, the lowest
     threshold any reader uses, and the cover at a threshold t >= floor is
     the stored score when that is >= t and none otherwise. The tokens of
-    each name are memoized, and so is each token pair's similarity, with
-    one exception: given `bound`, an upper bound on the similarity called
-    as bound(a, b, counts_a, counts_b) with each token's character
-    counts, a pair whose bound is below the floor is stored as 0.0 without
-    scoring it. A cover only reads similarities >= floor, so no cover
+    each name are memoized, and so is each token pair's similarity, but
+    only the pairs that can reach the floor are scored: `bound`, an upper
+    bound on the similarity called as bound(a, b, counts_a, counts_b) with
+    each token's character counts, stores a pair whose bound is below the
+    floor as 0.0. A cover only reads similarities >= floor, so no cover
     changes. Every entry is a pure function of its key, so reading the
     table gives the same answers as comparing afresh.
     """
@@ -172,7 +170,7 @@ class NameTable:
         self,
         similarity: Callable[[str, str], float],
         floor: float,
-        bound: Optional[Callable[[str, str, Counter, Counter], float]] = None,
+        bound: Callable[[str, str, Counter, Counter], float],
     ):
         self._similarity = similarity
         self._floor = floor
@@ -197,14 +195,8 @@ class NameTable:
     def _pair_similarity(self, a: str, b: str) -> float:
         score = self._pairs.get((a, b))
         if score is None:
-            if (
-                self._bound is not None
-                and self._bound(a, b, self._char_counts(a), self._char_counts(b))
-                < self._floor - _BOUND_MARGIN
-            ):
-                score = 0.0
-            else:
-                score = self._similarity(a, b)
+            bound = self._bound(a, b, self._char_counts(a), self._char_counts(b))
+            score = self._similarity(a, b) if bound >= self._floor - _BOUND_MARGIN else 0.0
             self._pairs[a, b] = score
         return score
 
@@ -223,7 +215,8 @@ class NameTable:
         return score if score is not None and score >= threshold else None
 
     def matcher(self, threshold: float) -> NameMatcher:
-        """structsim.default_name_matcher's comparison, read from the table."""
+        """Names match when every token of one pairs off with a token of
+        the other at or above `threshold`."""
 
         def match(a: str, b: str) -> bool:
             return self.cover(self.tokens(a), self.tokens(b), threshold) is not None
@@ -301,15 +294,12 @@ def string_correspondences(
     o2: Ontology,
     translations: dict[str, TranslatedLabel],
     cfg: MatchConfig,
-    table: Optional[NameTable] = None,
+    table: NameTable,
 ) -> list[Correspondence]:
     """Best token-sequence score over all candidate keys per pair.
 
-    `table` must compare tokens with the configured similarity; without
-    one, the stage makes its own.
+    `table` must compare tokens with the configured similarity.
     """
-    if table is None:
-        table = NameTable(_token_similarity(cfg), cfg.jw_threshold)
     key_tokens = {
         iri: [table.tokens(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
     }
@@ -441,17 +431,19 @@ def align(
 ) -> Alignment:
     """Run the full pipeline and return the one-to-one alignment.
 
-    One NameTable serves every Jaro-Winkler name comparison of the run,
-    and skips the token pairs whose Jaro-Winkler bound is below its floor.
-    With Smith-Waterman on, the string stage scores tokens differently and
-    keeps a table of its own, which scores every pair.
+    One NameTable serves every Jaro-Winkler name comparison of the run.
+    With Smith-Waterman on, the string stage scores a token pair by the
+    larger of Jaro-Winkler and normalized Smith-Waterman, in a table of
+    its own bounded by the larger of the two bounds. Each table skips the
+    token pairs whose bound is below its floor.
     """
     tree_threshold = cfg.expansion.label_matcher_threshold
     table = NameTable(jaro_winkler, min(cfg.jw_threshold, tree_threshold), jaro_winkler_bound)
+    string_table = table
+    if cfg.sw_enabled:
+        string_table = NameTable(_jw_or_sw, cfg.jw_threshold, _jw_or_sw_bound)
     translations = _translated(o1, translator, cfg)
-    string_stage = string_correspondences(
-        o1, o2, translations, cfg, None if cfg.sw_enabled else table
-    )
+    string_stage = string_correspondences(o1, o2, translations, cfg, string_table)
     lexical_stage: list[Correspondence] = []
     if thesaurus is not None:
         covered = {(c.left.iri, c.right.iri) for c in string_stage}

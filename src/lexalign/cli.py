@@ -105,7 +105,6 @@ def _cmd_serve(args) -> int:
     config = lexiserve.ServiceConfig(
         host=host,
         port=int(port_text),
-        store_path=args.store,
         max_query_patterns=args.max_patterns,
         request_timeout_ms=args.timeout_ms,
     )

@@ -13,10 +13,11 @@ requests are safe. A pattern-count cap and a request timeout guard the
 endpoint against oversized queries: a query whose answer is not ready
 to encode when the timeout passes is answered 503, a body not wholly
 received by then is answered 408, and a body declared longer than
-MAX_BODY_BYTES is answered 413 before any of it is read. A connection
-beyond MAX_CONNECTIONS open at once is answered 503 without a thread.
-Every response after which the server closes the connection says
-`Connection: close`.
+MAX_BODY_BYTES is answered 413 before any of it is read. Any body but
+a POST /sparql one sized by Content-Length closes its connection
+unread. A connection beyond MAX_CONNECTIONS open at once is answered
+503 without a thread. Every response after which the server closes the
+connection says `Connection: close`.
 
 The client functions keep one keep-alive connection per thread and
 replay a request once on a fresh connection when a reused one turns out
@@ -32,7 +33,6 @@ import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDisconnected
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Optional
 from urllib.parse import urlencode, urlparse, urlsplit, parse_qs
 
@@ -78,7 +78,6 @@ class ClientPayloadError(ClientError):
 class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
-    store_path: Optional[Path] = None
     max_query_patterns: int = DEFAULT_MAX_PATTERNS
     request_timeout_ms: int = DEFAULT_TIMEOUT_MS
 
@@ -108,7 +107,16 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.closing:
             self.close_connection = True
             return False
-        return super().parse_request()
+        if not super().parse_request():
+            return False
+        # only a POST /sparql body sized by Content-Length is read; any
+        # other body, left unread, would be parsed as the next request
+        if "Transfer-Encoding" in self.headers or (
+            self.headers.get("Content-Length", "0") != "0"
+            and (self.command, urlparse(self.path).path) != ("POST", "/sparql")
+        ):
+            self.close_connection = True
+        return True
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")

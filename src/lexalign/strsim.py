@@ -6,12 +6,12 @@ case; callers that want case-insensitive matching lowercase first.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 WINKLER_PREFIX_SCALE = 0.1
 WINKLER_MAX_PREFIX = 4
+Counts = Mapping[str, int]  # a string's character counts, as collections.Counter gives them
 
 
 @dataclass(frozen=True)
@@ -79,34 +79,31 @@ def jaro_winkler(s1: str, s2: str) -> float:
     return _winkler(s1, s2, jaro(s1, s2))
 
 
-def jaro_winkler_bound(
-    s1: str,
-    s2: str,
-    counts1: Optional[Mapping[str, int]] = None,
-    counts2: Optional[Mapping[str, int]] = None,
-) -> float:
-    """An upper bound on Jaro-Winkler: always >= jaro_winkler(s1, s2).
-
-    Jaro pairs equal characters one to one, so the number of matches m is
-    at most the sum over shared characters c of min(count1[c], count2[c]),
-    and the transposition term (m - t) / m is at most 1. That gives
-    j <= (m/|s1| + m/|s2| + 1) / 3, which the Winkler step, increasing in
-    j, boosts with the exact common prefix (Dreßler & Ngonga Ngomo, "On
-    the efficient execution of bounded Jaro-Winkler distances", SWJ
-    2017). `counts1` and `counts2` are the character counts of the two
-    strings (collections.Counter); a caller that compares a string many
-    times passes them in, so a pair costs one key intersection.
-    """
-    if not s1 or not s2:
-        return 1.0 if s1 == s2 else 0.0
-    if counts1 is None:
-        counts1 = Counter(s1)
-    if counts2 is None:
-        counts2 = Counter(s2)
+def _shared_count(counts1: Counts, counts2: Counts) -> int:
+    """Sum over c of min(counts1[c], counts2[c]): the most equal characters
+    two strings can pair one to one."""
     m = 0
     for ch in counts1.keys() & counts2.keys():
         n1, n2 = counts1[ch], counts2[ch]
         m += n1 if n1 < n2 else n2
+    return m
+
+
+def jaro_winkler_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> float:
+    """An upper bound on Jaro-Winkler: always >= jaro_winkler(s1, s2).
+
+    Jaro pairs equal characters one to one, so the number of matches m is
+    at most the shared count of the two strings' characters, and the
+    transposition term (m - t) / m is at most 1. That gives
+    j <= (m/|s1| + m/|s2| + 1) / 3, which the Winkler step, increasing in
+    j, boosts with the exact common prefix (Dreßler & Ngonga Ngomo, "On
+    the efficient execution of bounded Jaro-Winkler distances", SWJ
+    2017). Taking the counts lets a caller count a string it compares many
+    times once; a pair then costs one key intersection.
+    """
+    if not s1 or not s2:
+        return 1.0 if s1 == s2 else 0.0
+    m = _shared_count(counts1, counts2)
     if m == 0:
         return 0.0
     return _winkler(s1, s2, (m / len(s1) + m / len(s2) + 1.0) / 3)
@@ -165,3 +162,15 @@ def sw_normalized(s1: str, s2: str, scoring: SwScoring = DEFAULT_SW_SCORING) -> 
         return 0.0
     raw, _ = smith_waterman(s1, s2, scoring)
     return raw / (scoring.match * min(len(s1), len(s2)))
+
+
+def sw_normalized_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> float:
+    """An upper bound on sw_normalized under any SwScoring.
+
+    A local alignment's matches pair equal characters one to one and every
+    other step scores <= 0, so raw <= match * (shared count), which
+    normalizes to shared / min(len).
+    """
+    if not s1 or not s2:
+        return 0.0
+    return _shared_count(counts1, counts2) / min(len(s1), len(s2))

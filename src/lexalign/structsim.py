@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection
 
 from .errors import LexalignError
-from .labelkit import token_sequence_match, tokenize
+# tokenize and jaro_winkler are unused here; perfbench/tracing.py wraps them in this namespace
+from .labelkit import token_sequence_match, tokenize  # noqa: F401
 from .ontomodel import EntityId, Kind, Ontology
-from .strsim import jaro_winkler
+from .strsim import jaro_winkler  # noqa: F401
 
 
 class StructureError(LexalignError):
@@ -42,18 +43,6 @@ class ExpansionConfig:
 DEFAULT_EXPANSION = ExpansionConfig()
 
 NameMatcher = Callable[[str, str], bool]
-
-
-def default_name_matcher(threshold: float = 0.9) -> NameMatcher:
-    """Tokenized Jaro-Winkler comparison: every token must pair off at or
-    above the threshold."""
-
-    def matcher(a: str, b: str) -> bool:
-        return (
-            token_sequence_match(tokenize(a), tokenize(b), jaro_winkler, threshold) is not None
-        )
-
-    return matcher
 
 
 @dataclass
@@ -171,7 +160,7 @@ def triple_rule(
     o1: Ontology,
     o2: Ontology,
     seed: PairSeed,
-    matcher: NameMatcher | None = None,
+    matcher: NameMatcher,
 ) -> list[tuple[EntityId, EntityId]]:
     """Shared-triple inference over property pairs.
 
@@ -179,7 +168,6 @@ def triple_rule(
     properties are emitted. Dually, if the property names match and the
     ranges correspond, the two domains are emitted.
     """
-    matcher = matcher or default_name_matcher()
     out: list[tuple[EntityId, EntityId]] = []
     emitted: set[tuple[str, str]] = set()
 
@@ -211,14 +199,13 @@ def subclass_rule(
     o1: Ontology,
     o2: Ontology,
     seed: PairSeed,
-    matcher: NameMatcher | None = None,
+    matcher: NameMatcher,
 ) -> list[tuple[EntityId, EntityId]]:
     """Classes whose direct-subclass sets pair off exactly are emitted.
 
     Both sets must be non-empty and admit a complete one-to-one matching
     under the seed or name comparison; strict subsets do not fire.
     """
-    matcher = matcher or default_name_matcher()
 
     def same(a: EntityId, b: EntityId) -> float:
         return 1.0 if _entities_match(a, b, o1, o2, seed, matcher) else 0.0

@@ -12,7 +12,7 @@ import pytest
 from lexalign import aligner, dictstore, labelkit, ontomodel, taxsim, triplemap
 from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
-from lexalign.strsim import SwScoring, jaro_winkler
+from lexalign.strsim import SwScoring, jaro_winkler, sw_normalized
 from lexalign.triplemap import Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -372,7 +372,12 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
     structure matchers as they were before the per-run name table."""
     translations = aligner._translated(o1, translator, cfg)
 
-    sim = aligner._token_similarity(cfg)
+    sim = jaro_winkler
+    if cfg.sw_enabled:
+
+        def sim(a: str, b: str) -> float:
+            return max(jaro_winkler(a, b), sw_normalized(a, b))
+
     key_tokens = {
         iri: [tokenize(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
     }

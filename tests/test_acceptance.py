@@ -22,6 +22,7 @@ from lexalign.aligner import (
     Alignment,
     Correspondence,
     MatchConfig,
+    NameTable,
     align,
     evaluate as evaluate_alignment,
     read_alignment,
@@ -33,7 +34,13 @@ from lexalign.labelkit import DictionaryTranslator
 from lexalign.lexiserve import ServiceConfig, client_sparql, client_translate, serve
 from lexalign.ontomodel import EntityId, Kind
 from lexalign.sparqlet import evaluate, parse_query
-from lexalign.strsim import DEFAULT_SW_SCORING, jaro, jaro_winkler, smith_waterman
+from lexalign.strsim import (
+    DEFAULT_SW_SCORING,
+    jaro,
+    jaro_winkler,
+    jaro_winkler_bound,
+    smith_waterman,
+)
 from lexalign.structsim import TreeNode, WeightedTree, tree_similarity
 from lexalign.taxsim import jcn_similarity, lexical_match
 from lexalign.triplemap import to_triples
@@ -236,10 +243,11 @@ def test_criterion_9_invariant_suites(pipeline, onto_fr, onto_en, biblio_store):
     for threshold in (0.7, 0.9, 0.99):
         cfg = MatchConfig(source_lang="fr", target_lang="en", jw_threshold=threshold)
         translations = _translated(onto_fr, translator, cfg)
+        table = NameTable(jaro_winkler, threshold, jaro_winkler_bound)
         sets.append(
             {
                 (c.left.iri, c.right.iri)
-                for c in string_correspondences(onto_fr, onto_en, translations, cfg)
+                for c in string_correspondences(onto_fr, onto_en, translations, cfg, table)
             }
         )
     assert sets[2] <= sets[1] <= sets[0]

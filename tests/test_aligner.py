@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from conftest import (
     per_call_name_matcher,
     per_call_translated_matcher,
 )
-from lexalign import aligner, structsim
+from lexalign import aligner, labelkit, structsim
 from lexalign.aligner import (
     Alignment,
     AlignerError,
@@ -232,6 +233,13 @@ def test_align_deterministic(onto_fr, onto_en, biblio_store, thesaurus, cfg):
     assert first == second
 
 
+def string_table(cfg):
+    """A table that compares tokens as align()'s string stage does."""
+    if cfg.sw_enabled:
+        return NameTable(aligner._jw_or_sw, cfg.jw_threshold, aligner._jw_or_sw_bound)
+    return NameTable(jaro_winkler, cfg.jw_threshold, jaro_winkler_bound)
+
+
 def test_string_stage_threshold_monotonic(onto_fr, onto_en, dict_translator):
     previous = None
     for threshold in (0.95, 0.9, 0.85, 0.7):
@@ -239,7 +247,7 @@ def test_string_stage_threshold_monotonic(onto_fr, onto_en, dict_translator):
         translations = _translated(onto_fr, dict_translator, cfg)
         pairs = {
             (c.left.iri, c.right.iri)
-            for c in string_correspondences(onto_fr, onto_en, translations, cfg)
+            for c in string_correspondences(onto_fr, onto_en, translations, cfg, string_table(cfg))
         }
         if previous is not None:
             assert previous <= pairs  # lowering the bar only adds pairs
@@ -297,9 +305,9 @@ def check_against_per_call(o1, o2, translator, cfg, thesaurus=None):
         o1, o2, translator, cfg, thesaurus
     )
     translations = _translated(o1, translator, cfg)
-    seed = greedy_one_to_one(string_correspondences(o1, o2, translations, cfg))
+    seed = greedy_one_to_one(string_correspondences(o1, o2, translations, cfg, string_table(cfg)))
     threshold = cfg.expansion.label_matcher_threshold
-    table = NameTable(jaro_winkler, threshold)
+    table = NameTable(jaro_winkler, threshold, jaro_winkler_bound)
     assert structural_correspondences(
         o1,
         o2,
@@ -368,7 +376,7 @@ def test_align_scores_each_token_pair_once(
 
 
 def test_name_table_refuses_a_threshold_below_its_floor():
-    table = NameTable(jaro_winkler, 0.9)
+    table = NameTable(jaro_winkler, 0.9, jaro_winkler_bound)
     assert table.cover(("film",), ("film",), 0.95) == 1.0
     assert table.cover(("film",), ("firm",), 0.95) is None
     with pytest.raises(AlignerError, match="floor"):
@@ -440,20 +448,38 @@ def test_align_skips_token_pairs_below_the_floor(
     assert scored and scored < pairs
 
 
-def test_smith_waterman_table_scores_every_pair(
+def test_smith_waterman_table_skips_token_pairs_below_the_floor(
     monkeypatch, onto_fr, onto_en, dict_translator, thesaurus
 ):
     asked = _record_table_pairs(monkeypatch)
     scored = set()
 
-    def recording(a, b, scoring):
+    def recording(a, b):
         scored.add((a, b))
-        return sw_normalized(a, b, scoring)
+        return sw_normalized(a, b)
 
     monkeypatch.setattr(aligner, "sw_normalized", recording)
     align(onto_fr, onto_en, dict_translator, MatchConfig("fr", "en", sw_enabled=True), thesaurus)
+    (sw_pairs,) = [pairs for table, pairs in asked.items() if table._similarity is aligner._jw_or_sw]
     assert len(asked) == 2
-    assert scored in asked.values()
+    assert scored and scored < sw_pairs
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # the traced benchmark run wraps names in these namespaces; a name
+    # deleted from one should fail here, not only in that run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer, instrument_aligner
+
+    namespaces = (aligner, labelkit, structsim)
+    before = [dict(vars(module)) for module in namespaces]
+    tracer = Tracer()
+    try:
+        instrument_aligner(tracer)
+        assert aligner.align is not before[0]["align"]
+    finally:
+        tracer.restore()
+    assert [dict(vars(module)) for module in namespaces] == before
 
 
 def test_evaluate_benchmark_scale_counts():

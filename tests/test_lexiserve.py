@@ -305,6 +305,38 @@ def test_responses_that_close_say_so(idioms_store, length, body, status):
             conn.close()
 
 
+_EMBEDDED_GET = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        pytest.param(
+            b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n" % len(_EMBEDDED_GET),
+            404,
+            id="post-elsewhere",
+        ),
+        pytest.param(
+            b"GET /stats HTTP/1.1\r\nContent-Length: %d\r\n" % len(_EMBEDDED_GET),
+            200,
+            id="get-with-body",
+        ),
+        pytest.param(
+            b"POST /sparql HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 400, id="chunked-sparql"
+        ),
+    ],
+)
+def test_an_unread_body_is_not_taken_for_a_request(idioms_service, head, status):
+    with socket.create_connection((idioms_service.host, idioms_service.port), timeout=5) as sock:
+        sock.sendall(head + b"Host: x\r\n\r\n" + _EMBEDDED_GET)
+        reply = _read_until_closed(sock)  # EOF after the one answer
+    assert reply.count(b"HTTP/1.1 ") == 1
+    response_head, _, body = reply.partition(b"\r\n\r\n")
+    assert response_head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in response_head
+    json.loads(body)  # the whole of the rest is this answer's body
+
+
 @pytest.fixture()
 def accepts(monkeypatch):
     """The number of connections every lexiserve service accepts."""

@@ -2,18 +2,20 @@ import time
 
 import pytest
 
+from conftest import per_call_name_matcher
 from lexalign.ontomodel import load_ontology
 from lexalign.structsim import (
     ExpansionConfig,
     StructureError,
     TreeNode,
     WeightedTree,
-    default_name_matcher,
     expand_tree,
     subclass_rule,
     tree_similarity,
     triple_rule,
 )
+
+names_match = per_call_name_matcher(0.9)
 
 EX1 = "http://example.org/one#"
 EX2 = "http://example.org/two#"
@@ -135,18 +137,17 @@ def test_tree_similarity_each_target_used_once():
 
 
 def test_tree_similarity_on_fixture_pair(onto_fr, onto_en, dict_translator):
-    matcher = default_name_matcher(0.9)
     livre = expand_tree(onto_fr, onto_fr.entity("http://example.org/biblio-fr#Livre"))
     book = expand_tree(onto_en, onto_en.entity("http://example.org/biblio-en#Book"))
-    assert tree_similarity(livre, book, matcher) == 1.0  # isbn covered
-    assert tree_similarity(book, livre, matcher) == 0.5  # shortName is not
+    assert tree_similarity(livre, book, names_match) == 1.0  # isbn covered
+    assert tree_similarity(book, livre, names_match) == 0.5  # shortName is not
 
 
 def test_triple_rule_emits_domains_for_shared_property(onto_fr, onto_en):
     seed = {
         ("http://example.org/biblio-fr#Article", "http://example.org/biblio-en#Article")
     }
-    pairs = triple_rule(onto_fr, onto_en, seed)
+    pairs = triple_rule(onto_fr, onto_en, seed, names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("Revue", "Journal") in names
 
@@ -154,7 +155,7 @@ def test_triple_rule_emits_domains_for_shared_property(onto_fr, onto_en):
 def test_triple_rule_shared_domain_range_emits_properties():
     o1 = build(EX1, classes=["D", "R"], properties=[("p", "D", "R")])
     o2 = build(EX2, classes=["D", "R"], properties=[("q", "D", "R")])
-    pairs = triple_rule(o1, o2, set())
+    pairs = triple_rule(o1, o2, set(), names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("p", "q") in names
 
@@ -162,11 +163,11 @@ def test_triple_rule_shared_domain_range_emits_properties():
 def test_triple_rule_empty_without_shared_structure():
     o1 = build(EX1, classes=["A"], properties=[("p", "A", "A")])
     o2 = build(EX2, classes=["Z"], properties=[("q", "Z", "Z")])
-    assert triple_rule(o1, o2, set()) == []
+    assert triple_rule(o1, o2, set(), names_match) == []
 
 
 def test_triple_rule_identical_ontologies(onto_en):
-    pairs = triple_rule(onto_en, onto_en, set())
+    pairs = triple_rule(onto_en, onto_en, set(), names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("articles", "articles") in names
     assert ("Journal", "Journal") in names
@@ -174,7 +175,7 @@ def test_triple_rule_identical_ontologies(onto_en):
 
 def test_rule_outputs_in_entity_product_no_duplicates(onto_fr, onto_en):
     for rule in (triple_rule, subclass_rule):
-        pairs = rule(onto_fr, onto_en, set())
+        pairs = rule(onto_fr, onto_en, set(), names_match)
         assert len(pairs) == len({(a.iri, b.iri) for a, b in pairs})
         for a, b in pairs:
             assert a.iri in onto_fr.entities
@@ -184,27 +185,27 @@ def test_rule_outputs_in_entity_product_no_duplicates(onto_fr, onto_en):
 def test_subclass_rule_equal_sets():
     o1 = build(EX1, classes=["P", "a", "b"], subclasses=[("a", "P"), ("b", "P")])
     o2 = build(EX2, classes=["Q", "a", "b"], subclasses=[("a", "Q"), ("b", "Q")])
-    pairs = subclass_rule(o1, o2, set())
+    pairs = subclass_rule(o1, o2, set(), names_match)
     assert {(a.local_name(), b.local_name()) for a, b in pairs} == {("P", "Q")}
 
 
 def test_subclass_rule_disjoint_sets_not_emitted():
     o1 = build(EX1, classes=["P", "a"], subclasses=[("a", "P")])
     o2 = build(EX2, classes=["Q", "z"], subclasses=[("z", "Q")])
-    assert subclass_rule(o1, o2, set()) == []
+    assert subclass_rule(o1, o2, set(), names_match) == []
 
 
 def test_subclass_rule_strict_subset_not_emitted():
     o1 = build(EX1, classes=["P", "a"], subclasses=[("a", "P")])
     o2 = build(EX2, classes=["Q", "a", "b"], subclasses=[("a", "Q"), ("b", "Q")])
-    assert subclass_rule(o1, o2, set()) == []
+    assert subclass_rule(o1, o2, set(), names_match) == []
 
 
 def test_subclass_rule_uses_seed():
     o1 = build(EX1, classes=["P", "x1", "x2"], subclasses=[("x1", "P"), ("x2", "P")])
     o2 = build(EX2, classes=["Q", "y1", "y2"], subclasses=[("y1", "Q"), ("y2", "Q")])
     seed = {(EX1 + "x1", EX2 + "y1"), (EX1 + "x2", EX2 + "y2")}
-    pairs = subclass_rule(o1, o2, seed)
+    pairs = subclass_rule(o1, o2, seed, names_match)
     assert {(a.local_name(), b.local_name()) for a, b in pairs} == {("P", "Q")}
 
 
