@@ -488,7 +488,7 @@ def read_alignment(
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlignmentFormatError(f"cannot read alignment {path}: {exc}") from exc
     correspondences = []
     for line_no, line in enumerate(lines, start=1):

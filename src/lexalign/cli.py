@@ -123,8 +123,8 @@ def _cmd_query(args) -> int:
     store = dictstore.open_store(args.store)
     try:
         text = args.query_file.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexalignError(f"cannot read query file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LexalignError(f"cannot read query file {args.query_file}: {exc}") from exc
     query = sparqlet.parse_query(text)
     table = sparqlet.evaluate(query, triplemap.to_triples(store))
     print("\t".join(f"?{name}" for name in table.header))

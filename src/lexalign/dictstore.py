@@ -329,12 +329,15 @@ def _row_fault(field_list, types: list[type], cells: object) -> str | None:
 
 def _tsv_records(path: Path) -> list[list[str]]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise IngestError(f"{path.name}:{line_no}: blank line")
-            records.append(line.split("\t"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    raise IngestError(f"{path.name}:{line_no}: blank line")
+                records.append(line.split("\t"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read table {path}: {exc}") from exc
     return records
 
 
@@ -372,7 +375,7 @@ def load_snapshot(path: str | Path) -> DictionaryStore:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read store snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise IngestError(f"malformed store snapshot {path}: not a JSON object")

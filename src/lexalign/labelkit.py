@@ -238,7 +238,7 @@ class StaticTableTranslator:
         path = Path(path)
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise LabelError(f"cannot read translation table {path}: {exc}") from exc
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():

@@ -226,6 +226,6 @@ def load_ontology_file(path: str | Path) -> Ontology:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
     return load_ontology(text)

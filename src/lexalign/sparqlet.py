@@ -11,11 +11,14 @@ Grammar (whitespace and newline insensitive):
     prefixedName := NAME ":" NAME
     literal := '"' chars '"'
 
-Predicate-object lists introduced by ";" are expanded into full triple
-patterns sharing the group subject. Evaluation is a natural join over
-shared variables. The graph lists each triple at most once, and a
-solution fixes every term of every pattern, so it matches exactly one
-tuple of triples, and no two solutions are equal.
+A prefixed name is resolved to a full IRI when it is parsed, against the
+prefix table given to parse_query, so evaluation sees only IRIs,
+literals and variables. Predicate-object lists introduced by ";" are
+expanded into full triple patterns sharing the group subject.
+Evaluation is a natural join over shared variables. The graph lists
+each triple at most once, and a solution fixes every term of every
+pattern, so it matches exactly one tuple of triples, and no two
+solutions are equal.
 Projected rows are a bag. They are sorted lexicographically by cell
 before LIMIT is applied, so results are deterministic.
 
@@ -35,15 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import LexalignError
-from .triplemap import (
-    DEFAULT_PREFIXES,
-    Literal,
-    PrefixedName,
-    TableGraph,
-    Term,
-    Variable,
-    render,
-)
+from .triplemap import DEFAULT_PREFIXES, Iri, Literal, TableGraph, Term, Variable, render
 
 
 class QueryParseError(LexalignError):
@@ -166,7 +161,7 @@ class _Parser:
             prefix, local = text.split(":", 1)
             if prefix not in self.prefixes:
                 self.fail(f"unknown prefix: {prefix!r}", tok)
-            return PrefixedName(prefix, local)
+            return Iri(self.prefixes[prefix] + local)
         if kind == "literal":
             if not allow_literal:
                 self.fail("literal not allowed here", tok)
@@ -230,8 +225,8 @@ class _Parser:
 
 
 def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
-    """Parse `text`; prefixed names are checked against `prefixes`
-    (default: the wikpa binding). Errors carry line and column."""
+    """Parse `text`; prefixed names are resolved to full IRIs against
+    `prefixes` (default: the wikpa binding). Errors carry line and column."""
     return _Parser(text, DEFAULT_PREFIXES if prefixes is None else prefixes).parse_query()
 
 
@@ -312,30 +307,15 @@ def _terms(pattern: TriplePattern) -> tuple[Term, Term, Term]:
 def _match_pattern(
     pattern: TriplePattern, binding: dict[str, Term], store: TableGraph
 ) -> list[dict[str, Term]]:
-    def resolve(term: Term) -> Term | None:
-        if isinstance(term, Variable):
-            bound = binding.get(term.name)
-            return bound
-        return store.expand(term)
-
-    s, p, o = resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
+    terms = _terms(pattern)
+    s, p, o = (binding.get(t.name) if isinstance(t, Variable) else t for t in terms)
     extensions = []
     for triple in store.lookup(s, p, o):
         ext = dict(binding)
-        ok = True
-        for term, value in (
-            (pattern.subject, triple.subject),
-            (pattern.predicate, triple.predicate),
-            (pattern.object, triple.object),
-        ):
-            if isinstance(term, Variable):
-                seen = ext.get(term.name)
-                if seen is None:
-                    ext[term.name] = value
-                elif seen != value:
-                    ok = False
-                    break
-        if ok:
+        for term, value in zip(terms, triple):
+            if isinstance(term, Variable) and ext.setdefault(term.name, value) != value:
+                break
+        else:
             extensions.append(ext)
     return extensions
 

@@ -109,7 +109,7 @@ def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
     mode: Optional[str] = None
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ThesaurusError(f"cannot read thesaurus {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):

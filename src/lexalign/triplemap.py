@@ -5,13 +5,15 @@ per column. Key columns map to integer-valued plain literals, text
 columns to text literals. Triples are not stored: each lookup decodes
 the subject to a row and the predicate to a column, and answers from the
 tables (the "virtual RDF graph" of D2RQ, Bizer & Seaborne, ISWC 2004).
+Lookups take full IRIs; prefixed names are resolved when a query is
+parsed (sparqlet.parse_query, against DEFAULT_PREFIXES by default).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .dictstore import TABLES, DictionaryStore
 from .errors import LexalignError
@@ -31,12 +33,6 @@ class Iri:
 
 
 @dataclass(frozen=True)
-class PrefixedName:
-    prefix: str
-    local: str
-
-
-@dataclass(frozen=True)
 class Literal:
     text: str
 
@@ -50,48 +46,26 @@ class Variable:
             raise TripleMapError("variable name must be non-empty")
 
 
-Term = Union[Iri, PrefixedName, Literal, Variable]
+Term = Union[Iri, Literal, Variable]
 
 
 def render(term: Term) -> str:
-    """Stable text form of a term, used for result cells and sorting."""
+    """Stable text form of a term, used for result cells."""
     if isinstance(term, Iri):
         return term.value
-    if isinstance(term, PrefixedName):
-        return f"{term.prefix}:{term.local}"
     if isinstance(term, Literal):
         return term.text
     return f"?{term.name}"
 
 
-def expand(term: Term, prefixes: dict[str, str]) -> Term:
-    """Resolve a PrefixedName against the prefix table; other terms pass through."""
-    if isinstance(term, PrefixedName):
-        try:
-            base = prefixes[term.prefix]
-        except KeyError:
-            raise TripleMapError(f"unknown prefix: {term.prefix!r}") from None
-        return Iri(base + term.local)
-    return term
-
-
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
-
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, (Literal, Variable)):
-            raise TripleMapError("triple subject must not be a literal or variable")
-        if not isinstance(self.predicate, (Iri, PrefixedName)):
-            raise TripleMapError("triple predicate must be an IRI or prefixed name")
-        if isinstance(self.object, Variable):
-            raise TripleMapError("triple object must not be a variable")
+class Triple(NamedTuple):
+    subject: Iri
+    predicate: Iri
+    object: Literal
 
 
 def _sort_key(triple: Triple) -> tuple[str, str, str]:
-    return (render(triple.subject), render(triple.predicate), render(triple.object))
+    return (triple.subject.value, triple.predicate.value, triple.object.text)
 
 
 # column order mirrors the TSV files
@@ -179,9 +153,6 @@ class TableGraph:
     def __len__(self) -> int:
         return self.count()
 
-    def expand(self, term: Term) -> Term:
-        return expand(term, DEFAULT_PREFIXES)
-
     def _column(self, p: Term) -> _Column | None:
         return self._columns.get(p.value) if isinstance(p, Iri) else None
 
@@ -193,16 +164,14 @@ class TableGraph:
     ) -> list[Triple]:
         """All triples matching the bound positions, byte-order sorted.
 
-        Prefixed names are expanded against the `wikpa:` prefix before
-        matching; None leaves a position unbound. A term no triple can
-        hold in its position matches nothing.
+        Terms are matched as they are, so IRIs must be full; None leaves
+        a position unbound. A term no triple can hold in its position
+        matches nothing.
         """
-        s = self.expand(s) if s is not None else None
-        o = self.expand(o) if o is not None else None
         if p is None:
             found = [t for pred in self._columns for t in self._match(s, Iri(pred), o)]
             return sorted(found, key=_sort_key)
-        return self._match(s, self.expand(p), o)
+        return self._match(s, p, o)
 
     def _match(self, s: Term | None, p: Term, o: Term | None) -> list[Triple]:
         """lookup() with the predicate bound; already in byte order, since
@@ -228,13 +197,12 @@ class TableGraph:
         triples, when the subject is unbound."""
         if s is not None:
             return len(self.lookup(s, p, o))
-        o = self.expand(o) if o is not None else None
         if o is not None and not isinstance(o, Literal):
             return 0
         if p is None:
             columns = self._columns.values()
         else:
-            column = self._column(self.expand(p))
+            column = self._column(p)
             columns = [column] if column is not None else []
         if o is None:
             return sum(len(c.ids) for c in columns)

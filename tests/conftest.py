@@ -13,7 +13,7 @@ from lexalign import aligner, dictstore, labelkit, ontomodel, taxsim, triplemap
 from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SwScoring, jaro_winkler, sw_normalized
-from lexalign.triplemap import Iri, Literal, TableGraph, Triple, Variable, render
+from lexalign.triplemap import WIKPA_BASE, Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -97,18 +97,15 @@ def brute_force_evaluate(query: Query, store: TableGraph) -> ResultTable:
     terms = sorted(
         {t for tr in triples for t in (tr.subject, tr.predicate, tr.object)}, key=render
     )
-    expanded = [
-        tuple(store.expand(t) for t in (p.subject, p.predicate, p.object))
-        for p in query.patterns
-    ]
+    patterns = [(p.subject, p.predicate, p.object) for p in query.patterns]
     variables = list(
-        dict.fromkeys(t.name for pattern in expanded for t in pattern if isinstance(t, Variable))
+        dict.fromkeys(t.name for pattern in patterns for t in pattern if isinstance(t, Variable))
     )
     # each pattern is checked once its last variable is assigned
     position = {name: i for i, name in enumerate(variables)}
     checks: list[list[tuple]] = [[] for _ in variables]
     ground = []
-    for pattern in expanded:
+    for pattern in patterns:
         used = [position[t.name] for t in pattern if isinstance(t, Variable)]
         (checks[max(used)] if used else ground).append(pattern)
 
@@ -187,7 +184,11 @@ def print_query(query: Query) -> str:
     """Canonical one-pattern-per-group rendering; parse(print(q)) == q."""
 
     def term(t) -> str:
-        return f'"{t.text}"' if isinstance(t, Literal) else render(t)
+        if isinstance(t, Literal):
+            return f'"{t.text}"'
+        if isinstance(t, Iri) and t.value.startswith(WIKPA_BASE):
+            return "wikpa:" + t.value.removeprefix(WIKPA_BASE)
+        return render(t)
 
     parts = ["SELECT", *(f"?{v.name}" for v in query.select_vars), "WHERE {"]
     parts.extend(f"{term(p.subject)} {term(p.predicate)} {term(p.object)} ." for p in query.patterns)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import signal
 import subprocess
 import sys
@@ -221,6 +222,45 @@ def test_eval_bad_file_exit_code_2(tmp_path, capsys):
     bad.write_text("a\tb\t1.5\n", "utf-8")
     good = FIXTURES / "reference_alignment.tsv"
     assert main(["eval", str(bad), str(good)]) == 2
+
+
+MATCH = ["--from", "fr", "--to", "en", "-o", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["query", "{dict}", "{bad}"], id="query-file"),
+        pytest.param(["query", "{bad}", "{rq}"], id="store-snapshot"),
+        pytest.param(["ingest", "{tables}", "-o", "{out}"], id="ingest-table"),
+        pytest.param(["match", "{bad}", "{en}", "--store", "{dict}", *MATCH], id="ontology"),
+        pytest.param(
+            ["match", "{fr}", "{en}", "--store", "{dict}", "--thesaurus", "{bad}", *MATCH], id="thesaurus"
+        ),
+        pytest.param(["match", "{fr}", "{en}", "--table", "{bad}", *MATCH], id="translation-table"),
+        pytest.param(["eval", "{bad}", "{ref}"], id="alignment"),
+    ],
+)
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys, argv):
+    tables = tmp_path / "tables"
+    shutil.copytree(FIXTURES / "idioms_dict", tables)
+    bad = tables / "page.tsv" if "{tables}" in argv else tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1\tword\n")
+    names = {
+        "bad": bad,
+        "tables": tables,
+        "out": tmp_path / "out",
+        "dict": FIXTURES / "biblio_dict",
+        "rq": FIXTURES / "translations_query.rq",
+        "fr": FIXTURES / "biblio_fr.nt",
+        "en": FIXTURES / "biblio_en.nt",
+        "ref": FIXTURES / "reference_alignment.tsv",
+    }
+    code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(bad) in err
+    assert "Traceback" not in err
 
 
 def test_translate_without_store_or_endpoint_is_usage_error(capsys):
