@@ -10,7 +10,11 @@ per entity pair, and a greedy one-to-one selection by descending score
 deterministic.
 
 Only pairs of the same entity kind (class/class, property/property of
-the same flavor, individual/individual) are ever compared.
+the same flavor, individual/individual) are ever compared, and each stage
+scores only the pairs that can reach its threshold: a token cover needs
+two names of equal length, a thesaurus score needs both words in the
+thesaurus, and a tree score needs one matching node name. Every other
+pair would score nothing, so skipping it changes no output.
 """
 
 from __future__ import annotations
@@ -223,31 +227,44 @@ class NameTable:
 
         return match
 
-    def translated_matcher(
+    def translated_matches(
         self,
         o1: Ontology,
         translations: dict[str, TranslatedLabel],
         threshold: float,
-    ) -> NameMatcher:
-        """Compare a left name through its candidate keys with a right name."""
+        right_names: Iterable[str],
+    ) -> Callable[[str], frozenset[str]]:
+        """For a left name, the right names that one of its candidate keys
+        covers at `threshold`. A cover needs token tuples of equal length,
+        so a key is compared only with the right names of its length."""
         keys_by_name: dict[str, list[tuple[str, ...]]] = {}
         for iri, tl in translations.items():
             keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
             keys.extend(self.tokens(key) for key in tl.candidate_keys())
-        answers: dict[tuple[str, str], bool] = {}
+        by_length = _by_length((name, self.tokens(name)) for name in right_names)
+        answers: dict[str, frozenset[str]] = {}
 
-        def match(a_name: str, b_name: str) -> bool:
-            answer = answers.get((a_name, b_name))
-            if answer is None:
-                b_tokens = self.tokens(b_name)
+        def matches(a_name: str) -> frozenset[str]:
+            found = answers.get(a_name)
+            if found is None:
                 keys = keys_by_name.get(a_name)
-                answer = answers[a_name, b_name] = any(
-                    self.cover(tokens, b_tokens, threshold) is not None
-                    for tokens in (keys if keys is not None else [self.tokens(a_name)])
-                )
-            return answer
+                hits: set[str] = set()
+                for tokens in keys if keys is not None else [self.tokens(a_name)]:
+                    for b_name, b_tokens in by_length.get(len(tokens), ()):
+                        if b_name not in hits and self.cover(tokens, b_tokens, threshold) is not None:
+                            hits.add(b_name)
+                found = answers[a_name] = frozenset(hits)
+            return found
 
-        return match
+        return matches
+
+
+def _by_length(named_tokens: Iterable[tuple]) -> dict[int, list[tuple]]:
+    """(item, tokens) pairs grouped by token count, in the given order."""
+    groups: dict[int, list[tuple]] = {}
+    for item, tokens in named_tokens:
+        groups.setdefault(len(tokens), []).append((item, tokens))
+    return groups
 
 
 class _RunLookups:
@@ -281,14 +298,6 @@ def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[
     return out
 
 
-def _kind_pairs(o1: Ontology, o2: Ontology) -> list[tuple[EntityId, EntityId]]:
-    pairs = []
-    for kind in Kind:
-        rights = o2.by_kind(kind)
-        pairs.extend((e1, e2) for e1 in o1.by_kind(kind) for e2 in rights)
-    return pairs
-
-
 def string_correspondences(
     o1: Ontology,
     o2: Ontology,
@@ -296,24 +305,30 @@ def string_correspondences(
     cfg: MatchConfig,
     table: NameTable,
 ) -> list[Correspondence]:
-    """Best token-sequence score over all candidate keys per pair.
+    """Best token-sequence score over all candidate keys per same-kind pair.
 
-    `table` must compare tokens with the configured similarity.
+    A key is compared only with the right names of as many tokens, the
+    only ones it can cover. `table` must compare tokens with the
+    configured similarity.
     """
-    key_tokens = {
-        iri: [table.tokens(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
-    }
-    name_tokens2 = {e.iri: table.tokens(o2.display_name(e)) for e in o2.entities.values()}
-
     out = []
-    for e1, e2 in _kind_pairs(o1, o2):
-        best: Optional[float] = None
-        for tokens in key_tokens[e1.iri]:
-            score = table.cover(tokens, name_tokens2[e2.iri], cfg.jw_threshold)
-            if score is not None and (best is None or score > best):
-                best = score
-        if best is not None:
-            out.append(Correspondence(e1, e2, min(best, 1.0), SOURCE_STRING))
+    for kind in Kind:
+        rights = o2.by_kind(kind)
+        by_length = _by_length(
+            (pos, table.tokens(o2.display_name(e2))) for pos, e2 in enumerate(rights)
+        )
+        for e1 in o1.by_kind(kind):
+            best: dict[int, float] = {}
+            for key in translations[e1.iri].candidate_keys():
+                tokens = table.tokens(key)
+                for pos, tokens2 in by_length.get(len(tokens), ()):
+                    score = table.cover(tokens, tokens2, cfg.jw_threshold)
+                    if score is not None and (pos not in best or score > best[pos]):
+                        best[pos] = score
+            out.extend(
+                Correspondence(e1, rights[pos], min(score, 1.0), SOURCE_STRING)
+                for pos, score in sorted(best.items())
+            )
     return out
 
 
@@ -331,22 +346,32 @@ def lexical_correspondences(
     skip: set[tuple[str, str]],
     table: NameTable,
 ) -> list[Correspondence]:
-    """Thesaurus similarity for pairs the string stage did not cover."""
+    """Thesaurus similarity for same-kind pairs the string stage did not
+    cover.
+
+    lexical_match scores 0 unless both words are in the thesaurus, and the
+    threshold is positive, so only keys and names in its word index are
+    paired.
+    """
+    words = thesaurus.word_index
     out = []
-    keys1 = {
-        iri: [" ".join(table.tokens(key)) for key in tl.candidate_keys()]
-        for iri, tl in translations.items()
-    }
-    name2 = {e.iri: " ".join(table.tokens(o2.display_name(e))) for e in o2.entities.values()}
-    for e1, e2 in _kind_pairs(o1, o2):
-        if (e1.iri, e2.iri) in skip:
-            continue
-        best = 0.0
-        for key in keys1[e1.iri]:
-            value = lexical_match(thesaurus, key, name2[e2.iri])
-            best = max(best, value)
-        if best >= cfg.jcn_threshold:
-            out.append(Correspondence(e1, e2, _jcn_to_score(best), SOURCE_LEXICAL))
+    for kind in Kind:
+        rights = []
+        for e2 in o2.by_kind(kind):
+            name = " ".join(table.tokens(o2.display_name(e2)))
+            if name in words:
+                rights.append((e2, name))
+        for e1 in o1.by_kind(kind):
+            joined = (" ".join(table.tokens(key)) for key in translations[e1.iri].candidate_keys())
+            keys = [key for key in dict.fromkeys(joined) if key in words]
+            for e2, name in rights:
+                if (e1.iri, e2.iri) in skip:
+                    continue
+                best = 0.0
+                for key in keys:
+                    best = max(best, lexical_match(thesaurus, key, name))
+                if best >= cfg.jcn_threshold:
+                    out.append(Correspondence(e1, e2, _jcn_to_score(best), SOURCE_LEXICAL))
     return out
 
 
@@ -355,16 +380,23 @@ def structural_correspondences(
     o2: Ontology,
     cfg: MatchConfig,
     seed: Alignment,
-    name_matcher: NameMatcher,
-    translated_matcher: NameMatcher,
+    table: NameTable,
+    translations: dict[str, TranslatedLabel],
 ) -> list[Correspondence]:
     """Rule-based pairs at score 1.0 plus expanding-tree scores for
     class pairs with any overlap.
 
-    The rules compare names with `name_matcher`; the trees compare a left
-    node's translations with a right node's name through
-    `translated_matcher`.
+    Names are compared through `table` at the expansion's label threshold:
+    the rules compare two names, the trees compare a left node's candidate
+    keys with a right node's name. A tree pair scores above 0 exactly when
+    a node name of the left tree matches one of the right tree, so each
+    distinct left node name is compared once with the right node names,
+    an index maps each right node name to the classes whose tree holds it,
+    and tree_similarity runs only on the class pairs that share a match,
+    with a set lookup as its matcher. Every other pair scores 0.
     """
+    threshold = cfg.expansion.label_matcher_threshold
+    name_matcher = table.matcher(threshold)
     seed_pairs = seed.pairs()
 
     out = []
@@ -376,14 +408,24 @@ def structural_correspondences(
             seen.add((left.iri, right.iri))
             out.append(Correspondence(left, right, 1.0, SOURCE_STRUCTURE))
 
-    classes1, classes2 = o1.classes(), o2.classes()
-    trees1 = {c.iri: expand_tree(o1, c, cfg.expansion) for c in classes1}
-    trees2 = {c.iri: expand_tree(o2, c, cfg.expansion) for c in classes2}
-    for c1 in classes1:
-        for c2 in classes2:
-            score = tree_similarity(trees1[c1.iri], trees2[c2.iri], translated_matcher)
+    classes2 = o2.classes()
+    trees2 = [expand_tree(o2, c, cfg.expansion) for c in classes2]
+    holders: dict[str, set[int]] = {}
+    for j, tree in enumerate(trees2):
+        for node in tree.nodes:
+            holders.setdefault(node.name, set()).add(j)
+    matches = table.translated_matches(o1, translations, threshold, holders)
+
+    def matcher(a_name: str, b_name: str) -> bool:
+        return b_name in matches(a_name)
+
+    for c1 in o1.classes():
+        tree1 = expand_tree(o1, c1, cfg.expansion)
+        candidates = {j for node in tree1.nodes for b in matches(node.name) for j in holders[b]}
+        for j in sorted(candidates):
+            score = tree_similarity(tree1, trees2[j], matcher)
             if score > 0:
-                out.append(Correspondence(c1, c2, score, SOURCE_STRUCTURE))
+                out.append(Correspondence(c1, classes2[j], score, SOURCE_STRUCTURE))
     return out
 
 
@@ -453,14 +495,7 @@ def align(
     structural_stage: list[Correspondence] = []
     if cfg.structure_enabled:
         seed = greedy_one_to_one(string_stage + lexical_stage)
-        structural_stage = structural_correspondences(
-            o1,
-            o2,
-            cfg,
-            seed,
-            table.matcher(tree_threshold),
-            table.translated_matcher(o1, translations, tree_threshold),
-        )
+        structural_stage = structural_correspondences(o1, o2, cfg, seed, table, translations)
     return greedy_one_to_one(string_stage + lexical_stage + structural_stage)
 
 

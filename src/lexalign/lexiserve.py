@@ -10,9 +10,10 @@ Endpoints:
 Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
-endpoint against oversized queries: a query whose answer is not ready
-to encode when the timeout passes is answered 503, a body not wholly
-received by then is answered 408, and a body declared longer than
+endpoint against oversized queries. The timeout runs from a request's
+first byte: a request line, headers or body not wholly received when it
+passes is answered 408, a query whose answer is not ready to encode by
+then is answered 503, and a body declared longer than
 MAX_BODY_BYTES is answered 413 before any of it is read. Any body but
 a POST /sparql one sized by Content-Length closes its connection
 unread. A connection beyond MAX_CONNECTIONS open at once is answered
@@ -26,8 +27,10 @@ to have been closed by the server; every route is read-only.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -90,6 +93,45 @@ class ServiceConfig:
             raise ServiceError("request_timeout_ms must be positive")
 
 
+class _HeadTimeout(Exception):
+    """A request's line and headers were still arriving at its deadline."""
+
+
+class _HeadReads(socket.SocketIO):
+    """A connection's reads. Between start(deadline) and end(), each waits
+    at most for the time left to the deadline (a time.monotonic() value)
+    and raises _HeadTimeout once it has passed; otherwise each waits for
+    the socket's own timeout."""
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(sock, "rb")
+        self._timeout = sock.gettimeout()
+        self._deadline: Optional[float] = None
+        self._shortened = False
+
+    def start(self, deadline: float) -> None:
+        self._deadline = deadline
+
+    def end(self) -> None:
+        self._deadline = None
+        if self._shortened:  # a request that came whole in one read costs no syscall here
+            self._shortened = False
+            self._sock.settimeout(self._timeout)
+
+    def readinto(self, buffer) -> Optional[int]:
+        if self._deadline is None:
+            return super().readinto(buffer)
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise _HeadTimeout
+        self._sock.settimeout(left)
+        self._shortened = True
+        try:
+            return super().readinto(buffer)
+        except TimeoutError:
+            raise _HeadTimeout from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     # store, triples and config live on the server object
     protocol_version = "HTTP/1.1"
@@ -100,6 +142,36 @@ class _Handler(BaseHTTPRequestHandler):
     def setup(self) -> None:
         self.timeout = self.server.config.request_timeout_ms / 1000.0
         super().setup()
+        self.rfile.close()
+        self._reads = _HeadReads(self.connection)
+        self.rfile = io.BufferedReader(self._reads)
+
+    def handle_one_request(self) -> None:
+        """Wait for a request's first byte under the read timeout, as an
+        idle kept-alive connection does; from that byte on the request has
+        the request timeout in all, and a request line or headers still
+        arriving when it passes are answered 408."""
+        try:
+            if not self.rfile.peek(1):
+                self.close_connection = True
+                return
+        except TimeoutError:
+            self.close_connection = True
+            return
+        self.request_deadline = time.monotonic() + self.timeout
+        self._reads.start(self.request_deadline)
+        try:
+            super().handle_one_request()
+        except _HeadTimeout:
+            self._reads.end()
+            # the request line may be unparsed: answer with a status line all the same
+            self.requestline = self.request_version = self.command = ""
+            self.close_connection = True
+            self._error(
+                408,
+                "request line and headers not received within "
+                f"{self.server.config.request_timeout_ms} ms",
+            )
 
     def parse_request(self) -> bool:
         # once the service is closed, a request on a kept-alive connection
@@ -107,7 +179,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.closing:
             self.close_connection = True
             return False
-        if not super().parse_request():
+        parsed = super().parse_request()
+        self._reads.end()  # the headers are in; a body is read against request_deadline
+        if not parsed:
             return False
         # only a POST /sparql body sized by Content-Length is read; any
         # other body, left unread, would be parsed as the next request
@@ -191,7 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(500, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802
-        deadline = time.monotonic() + self.server.config.request_timeout_ms / 1000.0
+        deadline = self.request_deadline
         route = urlparse(self.path).path
         if route != "/sparql":
             self._error(404, f"no such endpoint: {route}")

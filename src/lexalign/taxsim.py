@@ -58,19 +58,22 @@ class Thesaurus:
 
     def ancestors_or_self(self, synset_id: str) -> frozenset[str]:
         cached = self._ancestors_cache.get(synset_id)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        stack = [self.synset(synset_id).id]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.synsets[current].hypernyms)
-        result = frozenset(seen)
-        self._ancestors_cache[synset_id] = result
-        return result
+        if cached is None:
+            cached = self._ancestors_cache[synset_id] = _walk_up(self.synsets, self.synset(synset_id).id)
+        return cached
+
+
+def _walk_up(synsets: dict[str, Synset], synset_id: str) -> frozenset[str]:
+    """The synset and every synset reachable through hypernym edges."""
+    seen: set[str] = set()
+    stack = [synset_id]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        stack.extend(synsets[current].hypernyms)
+    return frozenset(seen)
 
 
 def lcs(thesaurus: Thesaurus, a: str, b: str) -> Optional[str]:
@@ -160,7 +163,8 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
                 )
 
     try:
-        TopologicalSorter({sid: s.hypernyms for sid, s in sorted(synsets.items())}).prepare()
+        graph = {sid: s.hypernyms for sid, s in sorted(synsets.items())}
+        order = list(TopologicalSorter(graph).static_order())  # hypernyms first
     except CycleError as exc:
         raise ThesaurusError(
             f"{path.name}: hypernym cycle: " + " -> ".join(exc.args[1])
@@ -168,7 +172,7 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
 
     thesaurus = Thesaurus(synsets, values)
     if mode == "freq":
-        thesaurus.ic = _ic_from_frequencies(thesaurus, values, path.name)
+        thesaurus.ic = _ic_from_frequencies(thesaurus, values, order, path.name)
     ic = thesaurus.ic
     if not thesaurus.roots:
         raise ThesaurusError(f"{path.name}: no root synset")
@@ -187,8 +191,16 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
 
 
 def _ic_from_frequencies(
-    thesaurus: Thesaurus, freqs: dict[str, float], filename: str
+    thesaurus: Thesaurus, freqs: dict[str, float], order: list[str], filename: str
 ) -> dict[str, float]:
+    """IC from each synset's count plus the counts of all its distinct
+    descendants; `order` lists hypernyms before hyponyms.
+
+    A synset with one hypernym path passes its running total up that one
+    edge, hyponyms first, so a chain costs linear time. A synset below a
+    second hypernym path would reach a shared ancestor twice that way, so
+    it adds its own count to each of its ancestors instead, once.
+    """
     for sid, freq in freqs.items():
         if freq < 0:
             raise ThesaurusError(f"{filename}: negative frequency on {sid}")
@@ -197,13 +209,26 @@ def _ic_from_frequencies(
             f"{filename}: frequency mode requires exactly one root, found {len(thesaurus.roots)}"
         )
 
-    cumulative = {sid: 0.0 for sid in thesaurus.synsets}
-    for sid, freq in freqs.items():
-        for ancestor in thesaurus.ancestors_or_self(sid):
-            cumulative[ancestor] += freq
+    synsets = thesaurus.synsets
+    many_paths: dict[str, bool] = {}
+    for sid in order:
+        hypernyms = synsets[sid].hypernyms
+        many_paths[sid] = len(hypernyms) > 1 or any(many_paths[h] for h in hypernyms)
+    chained = {sid: 0.0 for sid in synsets}  # counts passed up single-path edges
+    shared = {sid: 0.0 for sid in synsets}  # counts added from below a second path
+    for sid in reversed(order):
+        if many_paths[sid]:
+            for ancestor in _walk_up(synsets, sid):
+                shared[ancestor] += freqs[sid]
+        else:
+            chained[sid] += freqs[sid]
+            for hypernym in synsets[sid].hypernyms:
+                chained[hypernym] += chained[sid]
+    cumulative = {sid: chained[sid] + shared[sid] for sid in synsets}
 
     total = cumulative[thesaurus.roots[0]]
     if total <= 0:
         raise ThesaurusError(f"{filename}: total frequency must be positive")
-    return {sid: -math.log(cumulative[sid] / total) if cumulative[sid] > 0 else math.inf
-            for sid in thesaurus.synsets}
+    ratios = {sid: count / total for sid, count in cumulative.items()}
+    # a ratio under the smallest float is 0, as a count of 0 is
+    return {sid: -math.log(ratio) if ratio > 0 else math.inf for sid, ratio in ratios.items()}

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from lexalign import aligner, dictstore, labelkit, ontomodel, taxsim, triplemap
+from lexalign import aligner, dictstore, labelkit, ontomodel, structsim, taxsim, triplemap
 from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SwScoring, jaro_winkler, sw_normalized
@@ -296,6 +297,26 @@ def brute_force_bottleneck_cover(tokens_a, tokens_b, pair_similarity, threshold)
     return best
 
 
+def reference_frequency_ic(thesaurus: taxsim.Thesaurus, freqs: dict) -> dict:
+    """Freq-mode IC with each synset's count added to every one of its
+    distinct ancestors, read off a full ancestor set per synset."""
+    cumulative = {sid: 0.0 for sid in thesaurus.synsets}
+    for sid, freq in freqs.items():
+        seen, stack = set(), [sid]
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                stack.extend(thesaurus.synsets[current].hypernyms)
+        for ancestor in seen:
+            cumulative[ancestor] += freq
+    total = cumulative[thesaurus.roots[0]]
+    return {
+        sid: -math.log(count / total) if count / total > 0 else math.inf
+        for sid, count in cumulative.items()
+    }
+
+
 @lru_cache(maxsize=None)
 def _global_alignment(a: str, b: str, scoring: SwScoring) -> int:
     """Plain recursive Needleman-Wunsch score of two whole strings."""
@@ -333,8 +354,9 @@ def all_strings(alphabet: str, max_len: int) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# the aligner with every name comparison made afresh, as it was before
-# the per-run name table
+# the aligner with every name comparison made afresh and every same-kind
+# pair scored, as it was before the per-run name table and the candidate
+# index
 
 
 def per_call_name_matcher(threshold: float = 0.9):
@@ -368,9 +390,56 @@ def per_call_translated_matcher(o1, translations, threshold: float):
     return translated_matcher
 
 
+def kind_pairs(o1, o2):
+    """Every same-kind (left, right) entity pair."""
+    pairs = []
+    for kind in ontomodel.Kind:
+        rights = o2.by_kind(kind)
+        pairs.extend((e1, e2) for e1 in o1.by_kind(kind) for e2 in rights)
+    return pairs
+
+
+def all_pairs_tree_scores(o1, o2, cfg, translations):
+    """The tree score of every class pair, nonzero or not, in (left,
+    right) class order: every class expanded, every pair scored through
+    the per-call translated matcher."""
+    matcher = per_call_translated_matcher(
+        o1, translations, cfg.expansion.label_matcher_threshold
+    )
+    classes1, classes2 = o1.classes(), o2.classes()
+    trees1 = {c.iri: structsim.expand_tree(o1, c, cfg.expansion) for c in classes1}
+    trees2 = {c.iri: structsim.expand_tree(o2, c, cfg.expansion) for c in classes2}
+    return [
+        (c1, c2, structsim.tree_similarity(trees1[c1.iri], trees2[c2.iri], matcher))
+        for c1 in classes1
+        for c2 in classes2
+    ]
+
+
+def per_call_structural(o1, o2, cfg, seed, translations):
+    """aligner.structural_correspondences with both rules run through the
+    per-call name matcher and a tree score for every class pair."""
+    matcher = per_call_name_matcher(cfg.expansion.label_matcher_threshold)
+    seed_pairs = seed.pairs()
+    out = []
+    seen = set()
+    for left, right in structsim.triple_rule(
+        o1, o2, seed_pairs, matcher
+    ) + structsim.subclass_rule(o1, o2, seed_pairs, matcher):
+        if (left.iri, right.iri) not in seen:
+            seen.add((left.iri, right.iri))
+            out.append(aligner.Correspondence(left, right, 1.0, aligner.SOURCE_STRUCTURE))
+    for c1, c2, score in all_pairs_tree_scores(o1, o2, cfg, translations):
+        if score > 0:
+            out.append(aligner.Correspondence(c1, c2, score, aligner.SOURCE_STRUCTURE))
+    return out
+
+
 def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment:
-    """aligner.align with the string and lexical stage loops and the two
-    structure matchers as they were before the per-run name table."""
+    """aligner.align as it was before the per-run name table and the
+    candidate index: every same-kind pair goes through the string and
+    lexical stage loops, and every class pair through the tree walk, with
+    each name comparison made afresh."""
     translations = aligner._translated(o1, translator, cfg)
 
     sim = jaro_winkler
@@ -384,7 +453,7 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
     }
     name_tokens2 = {e.iri: tokenize(o2.display_name(e)) for e in o2.entities.values()}
     string_stage = []
-    for e1, e2 in aligner._kind_pairs(o1, o2):
+    for e1, e2 in kind_pairs(o1, o2):
         best = None
         for tokens in key_tokens[e1.iri]:
             score = token_sequence_match(tokens, name_tokens2[e2.iri], sim, cfg.jw_threshold)
@@ -399,7 +468,7 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
     if thesaurus is not None:
         covered = {(c.left.iri, c.right.iri) for c in string_stage}
         name2 = {e.iri: " ".join(tokenize(o2.display_name(e))) for e in o2.entities.values()}
-        for e1, e2 in aligner._kind_pairs(o1, o2):
+        for e1, e2 in kind_pairs(o1, o2):
             if (e1.iri, e2.iri) in covered:
                 continue
             best = 0.0
@@ -415,13 +484,6 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
 
     structural_stage = []
     if cfg.structure_enabled:
-        threshold = cfg.expansion.label_matcher_threshold
-        structural_stage = aligner.structural_correspondences(
-            o1,
-            o2,
-            cfg,
-            aligner.greedy_one_to_one(string_stage + lexical_stage),
-            per_call_name_matcher(threshold),
-            per_call_translated_matcher(o1, translations, threshold),
-        )
+        seed = aligner.greedy_one_to_one(string_stage + lexical_stage)
+        structural_stage = per_call_structural(o1, o2, cfg, seed, translations)
     return aligner.greedy_one_to_one(string_stage + lexical_stage + structural_stage)

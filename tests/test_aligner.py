@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from conftest import (
     FIXTURES,
     IdentityTranslator,
+    all_pairs_tree_scores,
     per_call_align,
-    per_call_name_matcher,
-    per_call_translated_matcher,
+    per_call_structural,
 )
-from lexalign import aligner, labelkit, structsim
+from lexalign import aligner, labelkit, structsim, taxsim
 from lexalign.aligner import (
     Alignment,
     AlignerError,
@@ -309,20 +309,8 @@ def check_against_per_call(o1, o2, translator, cfg, thesaurus=None):
     threshold = cfg.expansion.label_matcher_threshold
     table = NameTable(jaro_winkler, threshold, jaro_winkler_bound)
     assert structural_correspondences(
-        o1,
-        o2,
-        cfg,
-        seed,
-        table.matcher(threshold),
-        table.translated_matcher(o1, translations, threshold),
-    ) == structural_correspondences(
-        o1,
-        o2,
-        cfg,
-        seed,
-        per_call_name_matcher(threshold),
-        per_call_translated_matcher(o1, translations, threshold),
-    )
+        o1, o2, cfg, seed, table, translations
+    ) == per_call_structural(o1, o2, cfg, seed, translations)
 
 
 def test_name_table_agrees_with_per_call_matchers_on_biblio(
@@ -357,6 +345,85 @@ def test_name_table_agrees_with_per_call_matchers_on_small_pairs(
         expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
     )
     check_against_per_call(o1, o2, WordTableTranslator(), cfg)
+
+
+# a thesaurus over _WORDS, so that the lexical stage scores small pairs
+SMALL_THESAURUS = taxsim.Thesaurus(
+    {
+        "s0": taxsim.Synset("s0", frozenset({"ab"}), ()),
+        "s1": taxsim.Synset("s1", frozenset({"abc", "ba"}), ("s0",)),
+        "s2": taxsim.Synset("s2", frozenset({"cab", "ab ba"}), ("s1",)),
+        "s3": taxsim.Synset("s3", frozenset({"bab"}), ("s0",)),
+    },
+    {"s0": 0.0, "s1": 0.5, "s2": 1.0, "s3": 0.8},
+)
+
+
+def check_candidates_are_exact(o1, o2, translator, cfg, thesaurus):
+    """align() scores a class-pair tree only when the score is above 0,
+    scores every such pair, and asks the thesaurus only about its words."""
+    scored = []
+    asked = []
+
+    def tree_similarity(tx, ty, matcher):
+        score = structsim.tree_similarity(tx, ty, matcher)
+        scored.append((tx.root.iri, ty.root.iri, score))
+        return score
+
+    def lexical_match(t, w1, w2):
+        asked.append((w1, w2))
+        return taxsim.lexical_match(t, w1, w2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aligner, "tree_similarity", tree_similarity)
+        mp.setattr(aligner, "lexical_match", lexical_match)
+        align(o1, o2, translator, cfg, thesaurus)
+    assert all(score > 0 for _, _, score in scored)
+    translations = _translated(o1, translator, cfg)
+    assert [(left, right) for left, right, _ in scored] == [
+        (c1.iri, c2.iri)
+        for c1, c2, score in all_pairs_tree_scores(o1, o2, cfg, translations)
+        if score > 0
+    ]
+    assert all(w1 in thesaurus.word_index and w2 in thesaurus.word_index for w1, w2 in asked)
+    return scored, asked
+
+
+def test_align_scores_only_pairs_that_can_match_on_biblio(
+    onto_fr, onto_en, dict_translator, thesaurus
+):
+    for threshold in (0.8, 0.9, 0.95, 1.0):
+        cfg = MatchConfig(
+            "fr",
+            "en",
+            jw_threshold=threshold,
+            expansion=ExpansionConfig(label_matcher_threshold=threshold),
+        )
+        scored, asked = check_candidates_are_exact(
+            onto_fr, onto_en, dict_translator, cfg, thesaurus
+        )
+        assert scored and asked
+        assert len(scored) < len(onto_fr.classes()) * len(onto_en.classes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_ontology("http://example.org/one#"),
+    small_ontology("http://example.org/two#"),
+    _THRESHOLDS,
+    _THRESHOLDS,
+)
+def test_align_scores_only_pairs_that_can_match_on_small_pairs(
+    o1, o2, jw_threshold, label_threshold
+):
+    cfg = MatchConfig(
+        "fr",
+        "en",
+        jw_threshold=jw_threshold,
+        expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
+    )
+    check_candidates_are_exact(o1, o2, WordTableTranslator(), cfg, SMALL_THESAURUS)
+    check_against_per_call(o1, o2, WordTableTranslator(), cfg, SMALL_THESAURUS)
 
 
 def test_align_scores_each_token_pair_once(

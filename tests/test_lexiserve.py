@@ -225,6 +225,48 @@ def test_dripped_sparql_body_is_408_within_the_timeout(idioms_store, caplog, cap
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sent_at_once", [b"", b"GET /stats HTTP/1.1\r\n"])
+def test_dripped_request_head_is_408_within_the_timeout(
+    idioms_store, caplog, capsys, sent_at_once
+):
+    dripped = b"GET /stats HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n"[len(sent_at_once) :]
+    with serve(ServiceConfig(request_timeout_ms=300), idioms_store) as handle:
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            start = time.monotonic()
+            sock.sendall(sent_at_once)
+            # each byte arrives well inside the read timeout, but the whole
+            # request line and headers would take over 3 s
+            for byte in dripped:
+                sock.sendall(bytes([byte]))
+                if select.select([sock], [], [], 0.1)[0]:  # the server has answered
+                    break
+            reply = _read_until_closed(sock)
+            elapsed = time.monotonic() - start
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"\r\nConnection: close" in head
+        assert "300 ms" in json.loads(payload)["error"]
+        assert elapsed < 0.3 + TIMEOUT_SLACK_S
+        assert client_sparql(handle.endpoint, "SELECT ?c WHERE { ?l wikpa:lang_code ?c . } LIMIT 1")
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_the_request_timeout_runs_from_the_first_byte(idioms_store):
+    with serve(ServiceConfig(request_timeout_ms=300), idioms_store) as handle:
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        sockets = []
+        for _ in range(3):  # idle waits add up to more than the timeout
+            time.sleep(0.2)
+            conn.request("GET", "/stats")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            sockets.append(conn.sock)
+        conn.close()
+        assert sockets[0] is sockets[-1]  # one kept-alive connection
+
+
 def test_connection_over_the_cap_is_503_without_a_thread(monkeypatch, idioms_store):
     monkeypatch.setattr(lexiserve, "MAX_CONNECTIONS", 2)
     with serve(ServiceConfig(), idioms_store) as handle:

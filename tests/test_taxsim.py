@@ -1,7 +1,14 @@
 import math
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_frequency_ic
 from lexalign.taxsim import (
     JCN_MAX,
     ThesaurusError,
@@ -146,6 +153,61 @@ def test_frequency_mode_ic_matches_hand_computation(fixtures_dir):
     for synset in th.synsets.values():
         for hypernym in synset.hypernyms:
             assert th.ic[synset.id] >= th.ic[hypernym] - 1e-12
+
+
+@st.composite
+def frequency_dag(draw):
+    """Freq-mode rows of a DAG with one root: each other synset names one
+    to three earlier synsets as hypernyms, repeats allowed; ids are
+    shuffled so that file order is not hypernym order."""
+    size = draw(st.integers(1, 8))
+    ids = draw(st.permutations([f"n{i}" for i in range(size)]))
+    rows = []
+    for i, sid in enumerate(ids):
+        hypernyms = draw(st.lists(st.sampled_from(ids[:i]), min_size=1, max_size=3)) if i else []
+        freq = draw(st.one_of(st.integers(0, 9).map(float), st.floats(0, 100)))
+        rows.append((sid, f"w{sid}", "|".join(hypernyms), repr(freq), "freq"))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frequency_dag())
+def test_frequency_ic_counts_each_descendant_once(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_thesaurus(Path(tmp), rows)
+        try:
+            th = load_thesaurus(path)
+        except ThesaurusError as exc:
+            assert "total frequency must be positive" in str(exc)
+            assert sum(float(row[3]) for row in rows) == 0
+            return
+    expected = reference_frequency_ic(th, {row[0]: float(row[3]) for row in rows})
+    assert th.ic.keys() == expected.keys()
+    for sid, ic in expected.items():
+        assert th.ic[sid] == ic or math.isclose(th.ic[sid], ic, rel_tol=1e-9, abs_tol=1e-12)
+    assert not th._ancestors_cache
+
+
+def test_deep_frequency_chain_loads_in_linear_time(tmp_path):
+    depth = 2000
+    rows = [(row[0], row[1], row[2], "1", "freq") for row in hypernym_chain(depth)]
+    path = write_thesaurus(tmp_path, rows)
+    start = time.perf_counter()
+    th = load_thesaurus(path)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        load_thesaurus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an ancestor set per synset took ~0.9 s and peaked at ~85 MB; a
+    # linear pass takes ~0.04 s and peaks at ~2 MB
+    assert elapsed < 0.5
+    assert peak < 20 * 2**20
+    assert not th._ancestors_cache
+    assert th.ic["s0000"] == pytest.approx(-math.log(1 / (depth + 1)))
+    assert th.ic[f"s{depth:04d}"] == 0.0
 
 
 def test_monotonicity_holds_on_ic_fixture(thesaurus):
