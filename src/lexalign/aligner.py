@@ -235,8 +235,10 @@ class NameTable:
         right_names: Iterable[str],
     ) -> Callable[[str], frozenset[str]]:
         """For a left name, the right names that one of its candidate keys
-        covers at `threshold`. A cover needs token tuples of equal length,
-        so a key is compared only with the right names of its length."""
+        covers at `threshold`. Every left name asked about is an `o1`
+        entity's display name, which `translations` gives keys. A cover
+        needs token tuples of equal length, so a key is compared only with
+        the right names of its length."""
         keys_by_name: dict[str, list[tuple[str, ...]]] = {}
         for iri, tl in translations.items():
             keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
@@ -247,9 +249,8 @@ class NameTable:
         def matches(a_name: str) -> frozenset[str]:
             found = answers.get(a_name)
             if found is None:
-                keys = keys_by_name.get(a_name)
                 hits: set[str] = set()
-                for tokens in keys if keys is not None else [self.tokens(a_name)]:
+                for tokens in keys_by_name[a_name]:
                     for b_name, b_tokens in by_length.get(len(tokens), ()):
                         if b_name not in hits and self.cover(tokens, b_tokens, threshold) is not None:
                             hits.add(b_name)

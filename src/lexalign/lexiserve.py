@@ -10,15 +10,16 @@ Endpoints:
 Responses are JSON; errors come back as {"error": message} with a 4xx
 or 5xx status. The store is immutable shared state, so concurrent
 requests are safe. A pattern-count cap and a request timeout guard the
-endpoint against oversized queries. The timeout runs from a request's
-first byte: a request line, headers or body not wholly received when it
-passes is answered 408, a query whose answer is not ready to encode by
-then is answered 503, and a body declared longer than
-MAX_BODY_BYTES is answered 413 before any of it is read. Any body but
-a POST /sparql one sized by Content-Length closes its connection
-unread. A connection beyond MAX_CONNECTIONS open at once is answered
-503 without a thread. Every response after which the server closes the
-connection says `Connection: close`.
+endpoint against oversized queries. The timeout is one deadline from a
+request's first byte over all its reads: a request line, headers or
+body not wholly received when it passes is answered 408, a query whose
+answer is not ready to encode by then is answered 503, and a body
+declared longer than MAX_BODY_BYTES is answered 413 before any of it is
+read. Any body but a POST /sparql one sized by Content-Length closes
+its connection unread. A connection beyond MAX_CONNECTIONS open at once
+is answered 503 without a thread. Every response after which the server
+closes the connection says `Connection: close`. A client that resets or
+drops its connection is let go without a log line.
 
 The client functions keep one keep-alive connection per thread and
 replay a request once on a fresh connection when a reused one turns out
@@ -27,6 +28,7 @@ to have been closed by the server; every route is read-only.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -93,14 +95,14 @@ class ServiceConfig:
             raise ServiceError("request_timeout_ms must be positive")
 
 
-class _HeadTimeout(Exception):
-    """A request's line and headers were still arriving at its deadline."""
+class _RequestTimeout(Exception):
+    """A request was still arriving at its deadline."""
 
 
-class _HeadReads(socket.SocketIO):
+class _RequestReads(socket.SocketIO):
     """A connection's reads. Between start(deadline) and end(), each waits
     at most for the time left to the deadline (a time.monotonic() value)
-    and raises _HeadTimeout once it has passed; otherwise each waits for
+    and raises _RequestTimeout once it has passed; otherwise each waits for
     the socket's own timeout."""
 
     def __init__(self, sock: socket.socket):
@@ -123,13 +125,13 @@ class _HeadReads(socket.SocketIO):
             return super().readinto(buffer)
         left = self._deadline - time.monotonic()
         if left <= 0:
-            raise _HeadTimeout
+            raise _RequestTimeout
         self._sock.settimeout(left)
         self._shortened = True
         try:
             return super().readinto(buffer)
         except TimeoutError:
-            raise _HeadTimeout from None
+            raise _RequestTimeout from None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -143,35 +145,37 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = self.server.config.request_timeout_ms / 1000.0
         super().setup()
         self.rfile.close()
-        self._reads = _HeadReads(self.connection)
+        self._reads = _RequestReads(self.connection)
         self.rfile = io.BufferedReader(self._reads)
 
     def handle_one_request(self) -> None:
         """Wait for a request's first byte under the read timeout, as an
-        idle kept-alive connection does; from that byte on the request has
-        the request timeout in all, and a request line or headers still
-        arriving when it passes are answered 408."""
+        idle kept-alive connection does; from that byte until its answer
+        starts, the request has the request timeout in all. This is where a
+        request ends abnormally: a client that resets or drops the
+        connection is let go without a log line, a request still arriving
+        at its deadline is answered 408, and any other failure 500."""
         try:
             if not self.rfile.peek(1):
                 self.close_connection = True
                 return
-        except TimeoutError:
-            self.close_connection = True
-            return
-        self.request_deadline = time.monotonic() + self.timeout
-        self._reads.start(self.request_deadline)
-        try:
+            self.request_deadline = time.monotonic() + self.timeout
+            self._reads.start(self.request_deadline)
             super().handle_one_request()
-        except _HeadTimeout:
-            self._reads.end()
-            # the request line may be unparsed: answer with a status line all the same
-            self.requestline = self.request_version = self.command = ""
+        except (TimeoutError, ConnectionError):  # an idle wait ran out, or the client left
             self.close_connection = True
-            self._error(
-                408,
-                "request line and headers not received within "
-                f"{self.server.config.request_timeout_ms} ms",
-            )
+        except Exception as exc:
+            self.close_connection = True
+            if isinstance(exc, _RequestTimeout):
+                # the request line may be unparsed: answer with a status line all the same
+                self.requestline = self.request_version = self.command = ""
+                ms = self.server.config.request_timeout_ms
+                status, message = 408, f"request not received within {ms} ms"
+            else:
+                logger.exception("request failed")
+                status, message = 500, str(exc)
+            with contextlib.suppress(ConnectionError):  # the client may be gone by now
+                self._error(status, message)
 
     def parse_request(self) -> bool:
         # once the service is closed, a request on a kept-alive connection
@@ -179,9 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.closing:
             self.close_connection = True
             return False
-        parsed = super().parse_request()
-        self._reads.end()  # the headers are in; a body is read against request_deadline
-        if not parsed:
+        if not super().parse_request():
             return False
         # only a POST /sparql body sized by Content-Length is read; any
         # other body, left unread, would be parsed as the next request
@@ -191,6 +193,10 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             self.close_connection = True
         return True
+
+    def send_response(self, code: int, message: Optional[str] = None) -> None:
+        self._reads.end()  # the answer's writes wait for the socket's own timeout
+        super().send_response(code, message)
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
@@ -260,9 +266,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"no such endpoint: {route}")
         except DictionaryError as exc:
             self._error(400, str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("request failed")
-            self._error(500, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802
         deadline = self.request_deadline
@@ -282,13 +285,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body stays unread
             self._error(413, f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}")
             return
-        body = self._read_body(length, deadline)
-        if body is None:
-            self.close_connection = True  # the stream stops mid-body
-            self._error(
-                408, f"request body not received within {self.server.config.request_timeout_ms} ms"
-            )
-            return
+        body = self.rfile.read(length)  # short if the client closes mid-body
         try:
             query = parse_query(body.decode("utf-8"))
             if len(query.patterns) > self.server.config.max_query_patterns:
@@ -310,30 +307,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except UnicodeDecodeError as exc:
             self._error(400, f"query is not UTF-8: {exc}")
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("sparql request failed")
-            self._error(500, str(exc))
-
-    def _read_body(self, length: int, deadline: float) -> bytes | None:
-        """The body as read by `deadline`, or None when it is still
-        arriving then; the read timeout alone bounds each recv, not their
-        sum. A body cut short by the client's close is returned short."""
-        body = bytearray()
-        try:
-            while len(body) < length:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    return None
-                self.connection.settimeout(left)
-                chunk = self.rfile.read1(length - len(body))
-                if not chunk:
-                    break
-                body += chunk
-        except TimeoutError:
-            return None
-        finally:
-            self.connection.settimeout(self.timeout)
-        return bytes(body)
 
     def log_message(self, format: str, *args) -> None:  # quiet by default
         logger.debug("%s - %s", self.address_string(), format % args)

@@ -207,7 +207,10 @@ class _Parser:
             tok = self.next()
             if tok[0] != "int":
                 self.fail("expected integer after LIMIT", tok)
-            limit = int(tok[1])
+            try:
+                limit = int(tok[1])
+            except ValueError:  # more digits than int() converts
+                self.fail("LIMIT has too many digits", tok)
             if limit <= 0:
                 self.fail("LIMIT must be positive", tok)
         if self.peek()[0] != "eof":

@@ -86,12 +86,17 @@ def lcs(thesaurus: Thesaurus, a: str, b: str) -> Optional[str]:
 
 
 def jcn_similarity(thesaurus: Thesaurus, a: str, b: str) -> float:
-    """1 / (IC(a) + IC(b) - 2 * IC(lcs)); capped at JCN_MAX when the
-    denominator vanishes, 0 when there is no common subsumer."""
+    """1 / (IC(a) + IC(b) - 2 * IC(lcs)); JCN_MAX for a synset with itself
+    and when the denominator vanishes, 0 when there is no common subsumer
+    or the denominator is NaN (inf - inf, under a subsumer that counts 0)."""
     subsumer = lcs(thesaurus, a, b)
     if subsumer is None:
         return 0.0
+    if a == b:
+        return JCN_MAX
     denominator = thesaurus.ic[a] + thesaurus.ic[b] - 2 * thesaurus.ic[subsumer]
+    if math.isnan(denominator):
+        return 0.0
     if denominator <= DENOM_EPS:
         return JCN_MAX
     return 1.0 / denominator
@@ -138,6 +143,8 @@ def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
             raise ThesaurusError(
                 f"{path.name}:{line_no}: value is not a number: {value_cell!r}"
             ) from None
+        if math.isnan(value) or (mode == "freq" and math.isinf(value)):
+            raise ThesaurusError(f"{path.name}:{line_no}: {mode} value out of range: {value_cell!r}")
         rows.append((line_no, Synset(synset_id, words, hypernyms, gloss), value))
     if mode is None:
         raise ThesaurusError(f"{path.name}: empty thesaurus")

@@ -51,6 +51,15 @@ def test_query_accepts_tsv_directory(capsys):
     assert "sv\tSwedish\tösregna" in out
 
 
+def test_query_with_a_limit_beyond_int_conversion_is_a_data_error(tmp_path, capsys):
+    rq = tmp_path / "huge_limit.rq"
+    rq.write_text("SELECT ?c WHERE { ?l wikpa:lang_code ?c . } LIMIT " + "9" * 5000, "utf-8")
+    code, out, err = run(capsys, "query", str(FIXTURES / "idioms_dict"), str(rq))
+    assert (code, out) == (2, "")
+    assert "LIMIT has too many digits" in err
+    assert "Traceback" not in err
+
+
 def test_translate_from_store(capsys):
     code, out, _ = run(
         capsys,

@@ -3,6 +3,7 @@ import json
 import logging
 import select
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -265,6 +266,85 @@ def test_the_request_timeout_runs_from_the_first_byte(idioms_store):
             sockets.append(conn.sock)
         conn.close()
         assert sockets[0] is sockets[-1]  # one kept-alive connection
+
+
+_LANG_QUERY = b"SELECT ?c WHERE { ?l wikpa:lang_code ?c . }"
+_LANG_REQUEST = b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (
+    len(_LANG_QUERY),
+    _LANG_QUERY,
+)
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [
+        pytest.param(b"", id="idle"),
+        pytest.param(b"GET /stats HTTP/1.1\r\nHo", id="mid-head"),
+        pytest.param(
+            b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nSELECT",
+            id="mid-body",
+        ),
+        pytest.param(_LANG_REQUEST, id="before-the-answer"),
+    ],
+)
+def test_a_client_reset_is_dropped_without_a_log_line(
+    monkeypatch, idioms_store, caplog, capsys, sent
+):
+    evaluate = lexiserve.evaluate
+
+    def slow_evaluate(query, graph, deadline):
+        time.sleep(0.3)  # the reset arrives before the answer is written
+        return evaluate(query, graph, deadline=deadline)
+
+    monkeypatch.setattr(lexiserve, "evaluate", slow_evaluate)
+    monkeypatch.setattr(lexiserve, "MAX_CONNECTIONS", 1)
+    with serve(ServiceConfig(), idioms_store) as handle:
+        sock = socket.create_connection((handle.host, handle.port), timeout=5)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(sent)
+        time.sleep(0.1)  # the server waits for the rest, or evaluates the query
+        sock.close()  # with a zero linger time, close resets the connection
+        slots = handle._server.connection_slots
+        assert slots.acquire(timeout=5)  # the reset connection's thread has ended
+        slots.release()
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            conn.request("GET", "/stats")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Exception occurred" not in err
+
+
+@pytest.mark.parametrize("client_resets", [False, True])
+def test_an_unexpected_failure_is_500_and_logged_once(
+    monkeypatch, idioms_store, caplog, capsys, client_resets
+):
+    def failing_evaluate(query, graph, deadline):
+        time.sleep(0.3)  # a resetting client is gone before the answer is written
+        raise RuntimeError("evaluation broke")
+
+    monkeypatch.setattr(lexiserve, "evaluate", failing_evaluate)
+    monkeypatch.setattr(lexiserve, "MAX_CONNECTIONS", 1)
+    with serve(ServiceConfig(), idioms_store) as handle:
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            sock.sendall(_LANG_REQUEST)
+            if client_resets:
+                time.sleep(0.1)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            else:
+                head, _, payload = _read_until_closed(sock).partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 500 ")
+                assert b"\r\nConnection: close" in head
+                assert json.loads(payload)["error"] == "evaluation broke"
+        slots = handle._server.connection_slots
+        assert slots.acquire(timeout=5)  # the connection's thread has ended
+        slots.release()
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == ["request failed"]
+    assert "Exception occurred" not in capsys.readouterr().err
 
 
 def test_connection_over_the_cap_is_503_without_a_thread(monkeypatch, idioms_store):
@@ -600,12 +680,18 @@ def test_malformed_json_is_payload_error():
         server.server_close()
 
 
+_HUGE_LIMIT = _LANG_QUERY + b" LIMIT " + b"9" * 5000
+
+
 @pytest.mark.parametrize(
     "length, body, message",
     [
         pytest.param("abc", b"", "Content-Length", id="abc"),
         pytest.param("-1", b"", "Content-Length", id="-1"),
         pytest.param("9", b"\xff\xfe SELECT", "UTF-8", id="not-utf8"),
+        pytest.param(
+            str(len(_HUGE_LIMIT)), _HUGE_LIMIT, "1:51: LIMIT has too many digits", id="huge-limit"
+        ),
     ],
 )
 def test_malformed_sparql_request_is_400(idioms_service, length, body, message):

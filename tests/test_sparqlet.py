@@ -1,5 +1,5 @@
 import random
-import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -114,6 +114,12 @@ def test_syntax_error_carries_line_and_column():
             (4, 9),
             "LIMIT must be positive",
             id="crlf-and-tabs",
+        ),
+        pytest.param(
+            'SELECT ?x WHERE { ?x wikpa:lang_code "en" . }\nLIMIT ' + "9" * 5000,
+            (2, 7),
+            "LIMIT has too many digits",
+            id="limit-beyond-int-conversion",
         ),
     ],
 )
@@ -367,14 +373,16 @@ def test_deadline_stops_row_rendering(monkeypatch):
     query = parse_query("SELECT ?x WHERE { ?a wikpa:wiki_text_text ?x . }")
     render = sparqlet.render
     rendered = []
+    now = [0.0]  # a clock that only rendering advances
 
-    def slow_render(term):  # 200 rows take at least 200 ms to render
+    def slow_render(term):  # 200 rows take 200 ms to render
         rendered.append(term)
-        time.sleep(0.001)
+        now[0] += 0.001
         return render(term)
 
     graph = to_triples(store)
     monkeypatch.setattr(sparqlet, "render", slow_render)
+    monkeypatch.setattr(sparqlet, "time", SimpleNamespace(monotonic=lambda: now[0]))
     with pytest.raises(QueryTimeout):
-        evaluate(query, graph, deadline=time.monotonic() + 0.02)
+        evaluate(query, graph, deadline=0.02)
     assert 0 < len(rendered) < 200

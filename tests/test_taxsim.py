@@ -106,6 +106,28 @@ def test_jcn_identical_synset_capped(thesaurus):
     assert jcn_similarity(thesaurus, "school-1", "school-1") == JCN_MAX
 
 
+def test_zero_count_synsets(tmp_path):
+    # A counts 0 below the root, and C and D below Z, which counts 0 too:
+    # the IC of all four is inf
+    rows = [
+        ("root", "root", "", "10", "freq"),
+        ("A", "book|volume", "root", "0", "freq"),
+        ("B", "paper", "root", "10", "freq"),
+        ("Z", "zero", "root", "0", "freq"),
+        ("C", "tome", "Z", "0", "freq"),
+        ("D", "codex", "Z", "0", "freq"),
+    ]
+    th = load_thesaurus(write_thesaurus(tmp_path, rows))
+    assert th.ic["A"] == math.inf
+    assert lexical_match(th, "book", "volume") == JCN_MAX
+    assert jcn_similarity(th, "A", "B") == 0.0
+    assert jcn_similarity(th, "C", "D") == 0.0  # inf + inf - 2 * inf
+    for a in th.synsets:  # the checks of the IC fixture below hold here too
+        assert jcn_similarity(th, a, a) == JCN_MAX
+        for b in th.synsets:
+            assert 0.0 <= jcn_similarity(th, a, b) == jcn_similarity(th, b, a) <= JCN_MAX
+
+
 def test_jcn_symmetric_nonnegative(thesaurus):
     ids = sorted(thesaurus.synsets)
     for a in ids:
@@ -239,6 +261,18 @@ def test_negative_frequency_rejected(tmp_path):
                 [("r", "root", "", "5", "freq"), ("a", "a", "r", "-1", "freq")],
             )
         )
+
+
+@pytest.mark.parametrize(
+    "value, mode",
+    [("nan", "ic"), ("nan", "freq"), ("inf", "freq"), ("-inf", "freq")],
+)
+def test_value_out_of_range_rejected_with_its_line(tmp_path, value, mode):
+    root = "0.0" if mode == "ic" else "5"
+    path = write_thesaurus(tmp_path, [("r", "root", "", root, mode), ("a", "a", "r", value, mode)])
+    with pytest.raises(ThesaurusError) as err:
+        load_thesaurus(path)
+    assert str(err.value) == f"th.tsv:2: {mode} value out of range: {value!r}"
 
 
 def test_multi_root_frequency_rejected(tmp_path):
