@@ -110,7 +110,7 @@ class MatchConfig:
     expansion: ExpansionConfig = DEFAULT_EXPANSION
 
     def __post_init__(self) -> None:
-        if self.jw_threshold <= 0 or self.jcn_threshold <= 0:
+        if not (self.jw_threshold > 0 and self.jcn_threshold > 0):  # NaN is neither
             raise AlignerError("thresholds must be positive")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import LexalignError
@@ -104,7 +104,13 @@ class StoreStats:
 
 @dataclass
 class DictionaryStore:
-    """The seven row tables keyed by primary id, plus lookup indexes."""
+    """The seven row tables keyed by primary id, and their indexes.
+
+    `ids[table]` lists a table's row ids, and `index[table, column]` maps
+    each value of a non-key column, as the rows hold it (int or str), to
+    the ids of the rows holding it. Every id list is in ascending
+    decimal-string order, the byte order of the RDF view's subjects.
+    """
 
     languages: dict[int, LanguageRow] = field(default_factory=dict)
     pages: dict[int, PageRow] = field(default_factory=dict)
@@ -115,7 +121,23 @@ class DictionaryStore:
     wiki_texts: dict[int, WikiTextRow] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._build_indexes()
+        self.ids: dict[str, list[int]] = {}
+        self.index: dict[tuple[str, str], dict[int | str, list[int]]] = {}
+        for name, rows in self.tables().items():
+            ids = self.ids[name] = sorted(rows, key=str)
+            ordered = [rows[i] for i in ids]
+            for f in fields(TABLES[name][0])[1:]:
+                index = self.index[name, f.name] = {}
+                for row_id, value in zip(ids, map(attrgetter(f.name), ordered)):
+                    index.setdefault(value, []).append(row_id)
+        # held directly, since a read through `index` hashes its tuple key
+        self._lang_ids_of_code = self.index["language", "lang_code"]
+        self._page_ids_of_title = self.index["page", "page_title"]
+        self._lang_pos_ids_of_page = self.index["lang_pos", "page_id"]
+        self._translation_ids_of_lang_pos = self.index["translation", "lang_pos_id"]
+        self._entry_ids_of_translation = self.index["translation_entry", "translation_id"]
+        self._text_ids_of_text = self.index["wiki_text", "text"]
+        self._entry_ids_of_text = self.index["translation_entry", "wiki_text_id"]
 
     @classmethod
     def from_tables(cls, tables: dict[str, dict[int, object]]) -> DictionaryStore:
@@ -126,33 +148,12 @@ class DictionaryStore:
         """The row tables by table name, in TABLES order."""
         return {name: getattr(self, attr) for name, (_, attr) in TABLES.items()}
 
-    def _build_indexes(self) -> None:
-        self._lang_by_code: dict[str, LanguageRow] = {}
-        for lang in self.languages.values():
-            self._lang_by_code[lang.lang_code] = lang
-        self._pages_by_title: dict[str, list[int]] = defaultdict(list)
-        for page in self.pages.values():
-            self._pages_by_title[page.page_title].append(page.page_id)
-        self._lang_pos_by_page: dict[int, list[int]] = defaultdict(list)
-        for lp in self.lang_pos.values():
-            self._lang_pos_by_page[lp.page_id].append(lp.lang_pos_id)
-        self._translations_by_lang_pos: dict[int, list[int]] = defaultdict(list)
-        for tr in self.translation_rows.values():
-            self._translations_by_lang_pos[tr.lang_pos_id].append(tr.translation_id)
-        self._entries_by_translation: dict[int, list[int]] = defaultdict(list)
-        self._entries_by_text: dict[str, list[int]] = defaultdict(list)
-        for entry in self.translation_entries.values():
-            self._entries_by_translation[entry.translation_id].append(
-                entry.translation_entry_id
-            )
-            # dangling refs are reported by verify_integrity, not here
-            wiki_text = self.wiki_texts.get(entry.wiki_text_id)
-            if wiki_text is not None:
-                self._entries_by_text[wiki_text.text].append(entry.translation_entry_id)
-
     def language_by_code(self, code: str) -> LanguageRow:
+        return self.languages[self._lang_id(code)]
+
+    def _lang_id(self, code: str) -> int:
         try:
-            return self._lang_by_code[code]
+            return self._lang_ids_of_code[code][0]
         except KeyError:
             raise UnknownLanguageError(code) from None
 
@@ -162,17 +163,17 @@ class DictionaryStore:
         Deduplicated and sorted by UTF-8 byte order. Unknown language
         codes raise; an absent headword yields an empty list.
         """
-        src = self.language_by_code(src_lang)
-        tgt = self.language_by_code(tgt_lang)
+        src = self._lang_id(src_lang)
+        tgt = self._lang_id(tgt_lang)
         terms: set[str] = set()
-        for page_id in self._pages_by_title.get(headword, ()):
-            for lp_id in self._lang_pos_by_page[page_id]:
-                if self.lang_pos[lp_id].lang_id != src.lang_id:
+        for page_id in self._page_ids_of_title.get(headword, ()):
+            for lp_id in self._lang_pos_ids_of_page.get(page_id, ()):
+                if self.lang_pos[lp_id].lang_id != src:
                     continue
-                for tr_id in self._translations_by_lang_pos[lp_id]:
-                    for entry_id in self._entries_by_translation[tr_id]:
+                for tr_id in self._translation_ids_of_lang_pos.get(lp_id, ()):
+                    for entry_id in self._entry_ids_of_translation.get(tr_id, ()):
                         entry = self.translation_entries[entry_id]
-                        if entry.lang_id == tgt.lang_id:
+                        if entry.lang_id == tgt:
                             terms.add(self.wiki_texts[entry.wiki_text_id].text)
         return sorted(terms)
 
@@ -182,18 +183,19 @@ class DictionaryStore:
         The exact inverse of translations(): h is returned iff term is in
         translations(h, entry_lang, term_lang).
         """
-        tlang = self.language_by_code(term_lang)
-        elang = self.language_by_code(entry_lang)
+        tlang = self._lang_id(term_lang)
+        elang = self._lang_id(entry_lang)
         headwords: set[str] = set()
-        for entry_id in self._entries_by_text.get(term, ()):
-            entry = self.translation_entries[entry_id]
-            if entry.lang_id != tlang.lang_id:
-                continue
-            translation = self.translation_rows[entry.translation_id]
-            lp = self.lang_pos[translation.lang_pos_id]
-            if lp.lang_id != elang.lang_id:
-                continue
-            headwords.add(self.pages[lp.page_id].page_title)
+        for text_id in self._text_ids_of_text.get(term, ()):
+            for entry_id in self._entry_ids_of_text.get(text_id, ()):
+                entry = self.translation_entries[entry_id]
+                if entry.lang_id != tlang:
+                    continue
+                translation = self.translation_rows[entry.translation_id]
+                lp = self.lang_pos[translation.lang_pos_id]
+                if lp.lang_id != elang:
+                    continue
+                headwords.add(self.pages[lp.page_id].page_title)
         return sorted(headwords)
 
     def stats(self) -> StoreStats:

@@ -7,9 +7,12 @@ Endpoints:
     POST /sparql           (body: query text, content-type text/plain)
     GET  /stats
 
-Responses are JSON; errors come back as {"error": message} with a 4xx
-or 5xx status. The store is immutable shared state, so concurrent
-requests are safe. A pattern-count cap and a request timeout guard the
+Responses are JSON. Every error comes back as {"error": message} with a
+4xx or 5xx status, also one that http.server itself detects: a request
+line or headers that do not parse or are too long, or an unknown
+method; its status line is written even when the request line does not
+parse. The store is immutable shared state, so concurrent requests are
+safe. A pattern-count cap and a request timeout guard the
 endpoint against oversized queries. The timeout is one deadline from a
 request's first byte over all its reads: a request line, headers or
 body not wholly received when it passes is answered 408, a query whose
@@ -165,17 +168,25 @@ class _Handler(BaseHTTPRequestHandler):
         except (TimeoutError, ConnectionError):  # an idle wait ran out, or the client left
             self.close_connection = True
         except Exception as exc:
-            self.close_connection = True
             if isinstance(exc, _RequestTimeout):
-                # the request line may be unparsed: answer with a status line all the same
-                self.requestline = self.request_version = self.command = ""
+                self.requestline = ""  # the request line may be unread
                 ms = self.server.config.request_timeout_ms
                 status, message = 408, f"request not received within {ms} ms"
             else:
                 logger.exception("request failed")
                 status, message = 500, str(exc)
             with contextlib.suppress(ConnectionError):  # the client may be gone by now
-                self._error(status, message)
+                self.send_error(status, message)
+
+    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None) -> None:
+        """Answer {"error": message} and close the connection. Beside the
+        two failures above, http.server calls this for a request line or
+        headers it refuses (unparsable, too long, HTTP/2) and for an
+        unknown method; the request line may be unparsed, so the answer
+        has a status line whatever version the request named."""
+        self.close_connection = True
+        self.request_version = ""  # not HTTP/0.9, which would drop the status line
+        self._error(code, message or self.responses[code][0])
 
     def parse_request(self) -> bool:
         # once the service is closed, a request on a kept-alive connection

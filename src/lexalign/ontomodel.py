@@ -175,6 +175,9 @@ def load_ontology(text: str) -> Ontology:
             if entity in onto.labels:
                 onto.warnings.append(f"line {line_no}: extra label for {s} ignored")
                 continue
+            if not o:
+                onto.warnings.append(f"line {line_no}: empty label for {s} ignored")
+                continue
             onto.labels[entity] = o
         elif p == RDFS_SUBCLASS_OF:
             sub = onto.entities.get(s)
@@ -208,6 +211,9 @@ def load_ontology(text: str) -> Ontology:
         else:
             onto.warnings.append(f"line {line_no}: unknown predicate {p} ignored")
 
+    for entity in onto.entities.values():
+        if not onto.display_name(entity):
+            raise OntologyError(f"{entity.iri} has an empty name: no label and no local name")
     parents: dict[str, list[str]] = {}
     for sub, parent in sorted(onto.subclass_of, key=lambda edge: (edge[0].iri, edge[1].iri)):
         parents.setdefault(sub.iri, []).append(parent.iri)

@@ -38,6 +38,8 @@ class ExpansionConfig:
             raise StructureError("level weights must be positive")
         if any(a <= b for a, b in zip(self.level_weights, self.level_weights[1:])):
             raise StructureError("level weights must be strictly decreasing")
+        if not self.label_matcher_threshold > 0:  # NaN is not
+            raise StructureError("label matcher threshold must be positive")
 
 
 DEFAULT_EXPANSION = ExpansionConfig()

@@ -1,17 +1,19 @@
 """The dictionary tables presented as a read-only RDF graph.
 
 Each table row is one subject node `wikpa:<table>/<id>` with one triple
-per column. Key columns map to integer-valued plain literals, text
-columns to text literals. Triples are not stored: each lookup decodes
-the subject to a row and the predicate to a column, and answers from the
-tables (the "virtual RDF graph" of D2RQ, Bizer & Seaborne, ISWC 2004).
+per column. Id columns map to integer-valued plain literals, text
+columns to text literals. Neither triples nor indexes are stored here:
+each lookup decodes the subject to a row, the predicate to a column and
+a bound object to a cell value, and answers from the tables and the
+store's column indexes (the "virtual RDF graph" of D2RQ, Bizer &
+Seaborne, ISWC 2004).
 Lookups take full IRIs; prefixed names are resolved when a query is
 parsed (sparqlet.parse_query, against DEFAULT_PREFIXES by default).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -86,23 +88,19 @@ TABLE_PREDICATES = {
 
 
 class _Column:
-    """One predicate: the table it reads, the row field it reads, and,
-    unless the field is the table's key, its value index (literal text ->
-    row ids in subject byte order). A key literal decodes to its row as a
-    subject IRI does."""
+    """One predicate: the table and the row field it reads, the store's ids
+    of that table and, unless the field is the table's key, the store's
+    index of the field, both in subject byte order. A literal's text is
+    read as the cell type, an int column's through _parse_id; a key
+    literal decodes to its row as a subject IRI does."""
 
-    def __init__(
-        self, table: str, rows: dict[int, object], field_name: str, ids: list[int], key: bool
-    ):
-        self.rows = rows
+    def __init__(self, store: DictionaryStore, table: str, f: Field):
+        self.rows = getattr(store, TABLES[table][1])
         self.subject_prefix = f"{WIKPA_BASE}{table}/"
-        self.cell = attrgetter(field_name)
-        self.ids = ids
-        self.values: dict[str, list[int]] | None = None
-        if not key:
-            self.values = {}
-            for row_id in ids:
-                self.values.setdefault(str(self.cell(rows[row_id])), []).append(row_id)
+        self.cell = attrgetter(f.name)
+        self.ids = store.ids[table]
+        self.values = store.index.get((table, f.name))  # None for the key, which is not indexed
+        self.ints = f.type == "int"
 
     def subject(self, row_id: int) -> Iri:
         return Iri(self.subject_prefix + str(row_id))
@@ -116,10 +114,10 @@ class _Column:
 
     def ids_with(self, text: str) -> Sequence[int]:
         """The ids of the rows whose cell reads `text`, in subject byte order."""
+        value = _parse_id(text) if self.ints else text
         if self.values is not None:
-            return self.values.get(text, ())
-        row_id = _parse_id(text)
-        return (row_id,) if row_id in self.rows else ()
+            return self.values.get(value, ())
+        return (value,) if value in self.rows else ()
 
 
 def _parse_id(text: str) -> int | None:
@@ -136,19 +134,17 @@ class TableGraph:
 
     Each row is the subject `wikpa:<table>/<id>` of one triple per
     column, whose object is the cell's text as a plain literal. Triples
-    are computed from the rows on each lookup; the only data kept beside
-    the tables is one value index per non-key column, built here. Nothing is
-    written after construction, so concurrent readers are safe.
+    are computed from the rows on each lookup, and object-bound lookups
+    read the store's own column indexes: the view keeps neither triples
+    nor indexes. The store is not written after construction, so
+    concurrent readers are safe.
     """
 
     def __init__(self, store: DictionaryStore):
         self._columns: dict[str, _Column] = {}  # predicate IRI -> column
-        for table, rows in store.tables().items():
-            ids = sorted(rows, key=str)  # subject byte order
-            row_fields = fields(TABLES[table][0])  # the first is the key
-            for pred_name, f in zip(TABLE_PREDICATES[table], row_fields, strict=True):
-                column = _Column(table, rows, f.name, ids, key=f is row_fields[0])
-                self._columns[WIKPA_BASE + pred_name] = column
+        for table, (row_type, _) in TABLES.items():
+            for pred_name, f in zip(TABLE_PREDICATES[table], fields(row_type), strict=True):
+                self._columns[WIKPA_BASE + pred_name] = _Column(store, table, f)
 
     def __len__(self) -> int:
         return self.count()

@@ -442,6 +442,16 @@ def test_align_scores_each_token_pair_once(
     assert max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("-inf")])
+def test_thresholds_must_be_positive_numbers(value):
+    with pytest.raises(AlignerError, match="positive"):
+        MatchConfig("fr", "en", jw_threshold=value)
+    with pytest.raises(AlignerError, match="positive"):
+        MatchConfig("fr", "en", jcn_threshold=value)
+    with pytest.raises(structsim.StructureError, match="positive"):
+        ExpansionConfig(label_matcher_threshold=value)
+
+
 def test_name_table_refuses_a_threshold_below_its_floor():
     table = NameTable(jaro_winkler, 0.9, jaro_winkler_bound)
     assert table.cover(("film",), ("film",), 0.95) == 1.0

@@ -12,6 +12,12 @@ from lexalign.cli import main
 from lexalign.dictstore import IngestError, load_snapshot
 
 
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+OWL_CLASS = "http://www.w3.org/2002/07/owl#Class"
+RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+MATCH_OPTIONS = ("--from", "fr", "--to", "en", "-o")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -224,6 +230,46 @@ def test_match_on_cyclic_ontology_exit_code_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cycle" in err
+
+
+@pytest.mark.parametrize("option", ["--jw", "--jcn"])
+def test_match_with_a_nan_threshold_exit_code_2(tmp_path, capsys, option):
+    code, _, err = run(
+        capsys,
+        "match",
+        str(FIXTURES / "biblio_fr.nt"),
+        str(FIXTURES / "biblio_en.nt"),
+        "--store",
+        str(FIXTURES / "biblio_dict"),
+        option,
+        "nan",
+        *MATCH_OPTIONS,
+        str(tmp_path / "alignment.tsv"),
+    )
+    assert code == 2
+    assert "thresholds must be positive" in err
+    assert not (tmp_path / "alignment.tsv").exists()
+
+
+def test_match_on_an_entity_without_a_name_exit_code_2(tmp_path, capsys):
+    fr = (FIXTURES / "biblio_fr.nt").read_text("utf-8")
+    unnamed = "http://example.org/biblio-fr#"
+    onto = tmp_path / "unnamed.nt"
+    onto.write_text(
+        fr + f'<{unnamed}> <{RDF_TYPE}> <{OWL_CLASS}> .\n<{unnamed}> <{RDFS_LABEL}> "" .\n', "utf-8"
+    )
+    code, _, err = run(
+        capsys,
+        "match",
+        str(onto),
+        str(FIXTURES / "biblio_en.nt"),
+        "--store",
+        str(FIXTURES / "biblio_dict"),
+        *MATCH_OPTIONS,
+        str(tmp_path / "alignment.tsv"),
+    )
+    assert code == 2
+    assert f"{unnamed} has an empty name" in err
 
 
 def test_eval_bad_file_exit_code_2(tmp_path, capsys):

@@ -427,6 +427,31 @@ def test_responses_that_close_say_so(idioms_store, length, body, status):
             conn.close()
 
 
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        pytest.param(b"PUT /x HTTP/1.1\r\nHost: x\r\n\r\n", 501, id="unknown-method"),
+        pytest.param(b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, id="long-path"),
+        pytest.param(
+            b"GET /stats HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(200)) + b"\r\n",
+            431,
+            id="200-headers",
+        ),
+        pytest.param(b"GARBAGE\r\n\r\n", 400, id="one-word-line"),
+        pytest.param(b"GET /stats HTTP/2.0\r\n\r\n", 505, id="http-2"),
+    ],
+)
+def test_http_server_errors_are_json_with_a_status_line(idioms_service, request_bytes, status):
+    with socket.create_connection((idioms_service.host, idioms_service.port), timeout=5) as sock:
+        sock.sendall(request_bytes)
+        reply = _read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nContent-Type: application/json" in head
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body)["error"]
+
+
 _EMBEDDED_GET = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
 
 

@@ -136,6 +136,29 @@ def test_first_label_wins_with_warning():
     assert any("extra label" in w for w in onto.warnings)
 
 
+def test_empty_label_skipped_with_warning():
+    onto = load_ontology(lines(clazz("Book"), f'<{EX}Book> <{LABEL}> "" .'))
+    assert onto.display_name(onto.entity(EX + "Book")) == "Book"
+    assert any("empty label" in w for w in onto.warnings)
+    onto = load_ontology(
+        lines(clazz("Book"), f'<{EX}Book> <{LABEL}> "" .', f'<{EX}Book> <{LABEL}> "livre" .')
+    )
+    assert onto.display_name(onto.entity(EX + "Book")) == "livre"
+    assert not any("extra label" in w for w in onto.warnings)
+
+
+@pytest.mark.parametrize("iri", ["http://example.org/x#", "http://example.org/shelf/"])
+@pytest.mark.parametrize("label", [None, ""])
+def test_entity_without_a_name_is_rejected_naming_it(iri, label):
+    triples = [clazz("Book"), f"<{iri}> <{RDF_TYPE}> <{OWL_CLASS}> ."]
+    if label is not None:
+        triples.append(f'<{iri}> <{LABEL}> "{label}" .')
+    with pytest.raises(OntologyError, match=f"{iri} has an empty name"):
+        load_ontology(lines(*triples))
+    named = load_ontology(lines(*triples, f'<{iri}> <{LABEL}> "shelf" .'))
+    assert named.display_name(named.entity(iri)) == "shelf"
+
+
 def test_label_on_undeclared_entity_warns_not_fails():
     # an ontology header: its type is unrecognized, its label must not kill the load
     onto = load_ontology(

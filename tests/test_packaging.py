@@ -1,0 +1,35 @@
+"""The package has no runtime dependencies: it imports only the standard
+library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "lexalign").glob("*.py"))
+
+
+def _absolute_imports(tree: ast.AST) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_sources_are_found():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "cli.py", "dictstore.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library_and_the_package(path):
+    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+    foreign = [
+        name
+        for name in _absolute_imports(tree)
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"lexalign"}
+    ]
+    assert not foreign, f"{path.name} imports {foreign}"

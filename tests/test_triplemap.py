@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -125,6 +126,7 @@ def test_view_equals_row_oracle(name):
 
 
 PAGE_ID = Iri(WIKPA_BASE + "page_id")
+LANG_POS_PAGE_ID = Iri(WIKPA_BASE + "lang_pos_page_id")  # holds 1, but no other spelling of it
 
 
 @pytest.mark.parametrize(
@@ -158,6 +160,10 @@ PAGE_ID = Iri(WIKPA_BASE + "page_id")
         (None, PAGE_ID, Literal("9" * 5000)),
         (Iri(WIKPA_BASE + "page/1"), PAGE_ID, Literal("01")),
         (None, None, Literal("01")),
+        *(
+            (None, LANG_POS_PAGE_ID, Literal(text))
+            for text in ("01", "+1", " 1", "1 ", "1_0", "\u0661", "1.0", "", "9" * 5000)
+        ),
     ],
 )
 def test_hostile_lookups_match_nothing(idioms_triples, s, p, o):
@@ -192,3 +198,32 @@ def test_count_equals_lookup_length(idioms_triples):
 def test_cross_position_join_matches_brute_force(idioms_triples, text):
     query = parse_query(text)
     assert evaluate(query, idioms_triples).rows == brute_force_evaluate(query, idioms_triples).rows
+
+
+def test_view_holds_no_copy_of_the_store(tmp_path):
+    """The view reads the store's rows and column indexes; what building
+    it leaves allocated is a small fraction of what the store holds."""
+    pages = range(1, 1201)
+    tables = {
+        "language": [(1, "en", "English"), (2, "fr", "French"), (3, "sv", "Swedish")],
+        "page": [(i, f"word {i}") for i in pages],
+        "lang_pos": [(i, i, 1) for i in pages],
+        "meaning": [(i, i) for i in pages],
+        "translation": [(i, i, i) for i in pages],
+        "translation_entry": [(2 * i + k, i, 2 + k, 2 * i + k) for i in pages for k in (0, 1)],
+        "wiki_text": [(2 * i + k, f"mot {i % 300} {k}") for i in pages for k in (0, 1)],
+    }
+    for name, rows in tables.items():
+        lines = ("\t".join(map(str, row)) + "\n" for row in rows)
+        (tmp_path / f"{name}.tsv").write_text("".join(lines), "utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = ingest_tables(tmp_path)
+        with_store = tracemalloc.get_traced_memory()[0]
+        graph = to_triples(store)
+        with_graph = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.count() == sum(len(rows) * COLUMNS[name] for name, rows in tables.items())
+    assert with_graph - with_store < (with_store - before) / 10
