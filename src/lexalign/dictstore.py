@@ -2,16 +2,19 @@
 
 Seven linked tables (language, page, lang_pos, meaning, translation,
 translation_entry, wiki_text) are ingested from headerless TSV files and
-queried for translations in either direction. The store is immutable
-after ingest; concurrent readers are safe.
+queried for translations in either direction. Each table is held as
+one tuple per column, in file order, not as row objects. The store is
+immutable after ingest; concurrent readers are safe.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from collections import defaultdict
-from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
+from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LexalignError
@@ -33,65 +36,23 @@ class UnknownLanguageError(DictionaryError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class LanguageRow:
-    lang_id: int
-    lang_code: str
-    lang_name: str
-
-
-@dataclass(frozen=True)
-class PageRow:
-    page_id: int
-    page_title: str
-
-
-@dataclass(frozen=True)
-class LangPosRow:
-    lang_pos_id: int
-    page_id: int
-    lang_id: int
-
-
-@dataclass(frozen=True)
-class MeaningRow:
-    meaning_id: int
-    lang_pos_id: int
-
-
-@dataclass(frozen=True)
-class TranslationRow:
-    translation_id: int
-    lang_pos_id: int
-    meaning_id: int
-
-
-@dataclass(frozen=True)
-class TranslationEntryRow:
-    translation_entry_id: int
-    translation_id: int
-    lang_id: int
-    wiki_text_id: int
-
-
-@dataclass(frozen=True)
-class WikiTextRow:
-    wiki_text_id: int
-    text: str
-
-
-# table name -> (row type, DictionaryStore field); the row type's fields
-# are the table's columns in file order, the first one its key
-TABLES: dict[str, tuple[type, str]] = {
-    "language": (LanguageRow, "languages"),
-    "page": (PageRow, "pages"),
-    "lang_pos": (LangPosRow, "lang_pos"),
-    "meaning": (MeaningRow, "meanings"),
-    "translation": (TranslationRow, "translation_rows"),
-    "translation_entry": (TranslationEntryRow, "translation_entries"),
-    "wiki_text": (WikiTextRow, "wiki_texts"),
+# table name -> its columns in file order, as (column, cell type); the
+# first column is the table's key
+SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
+    "language": (("lang_id", int), ("lang_code", str), ("lang_name", str)),
+    "page": (("page_id", int), ("page_title", str)),
+    "lang_pos": (("lang_pos_id", int), ("page_id", int), ("lang_id", int)),
+    "meaning": (("meaning_id", int), ("lang_pos_id", int)),
+    "translation": (("translation_id", int), ("lang_pos_id", int), ("meaning_id", int)),
+    "translation_entry": (
+        ("translation_entry_id", int),
+        ("translation_id", int),
+        ("lang_id", int),
+        ("wiki_text_id", int),
+    ),
+    "wiki_text": (("wiki_text_id", int), ("text", str)),
 }
-TABLE_NAMES = tuple(TABLES)
+TABLE_NAMES = tuple(SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -102,58 +63,48 @@ class StoreStats:
     translation_pairs: dict[tuple[str, str], int]
 
 
-@dataclass
 class DictionaryStore:
-    """The seven row tables keyed by primary id, and their indexes.
+    """The seven tables held as columns, and their indexes.
 
+    `columns[table, column]` is a tuple of the column's cells in file
+    order, and `position[table]` maps each row id to its place in them.
     `ids[table]` lists a table's row ids, and `index[table, column]` maps
-    each value of a non-key column, as the rows hold it (int or str), to
-    the ids of the rows holding it. Every id list is in ascending
-    decimal-string order, the byte order of the RDF view's subjects.
+    each value of a non-key column (int or str) to the ids of the rows
+    holding it. Every id list is in ascending decimal-string order, the
+    byte order of the RDF view's subjects.
     """
 
-    languages: dict[int, LanguageRow] = field(default_factory=dict)
-    pages: dict[int, PageRow] = field(default_factory=dict)
-    lang_pos: dict[int, LangPosRow] = field(default_factory=dict)
-    meanings: dict[int, MeaningRow] = field(default_factory=dict)
-    translation_rows: dict[int, TranslationRow] = field(default_factory=dict)
-    translation_entries: dict[int, TranslationEntryRow] = field(default_factory=dict)
-    wiki_texts: dict[int, WikiTextRow] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, tables: dict[str, tuple[tuple, ...]] | None = None):
+        """A store over checked tables, each as parse_rows returns it, by
+        table name; a table not named is empty."""
+        tables = tables or {}
+        self.columns: dict[tuple[str, str], tuple] = {}
+        self.position: dict[str, dict[int, int]] = {}
         self.ids: dict[str, list[int]] = {}
         self.index: dict[tuple[str, str], dict[int | str, list[int]]] = {}
-        for name, rows in self.tables().items():
-            ids = self.ids[name] = sorted(rows, key=str)
-            ordered = [rows[i] for i in ids]
-            for f in fields(TABLES[name][0])[1:]:
-                index = self.index[name, f.name] = {}
-                for row_id, value in zip(ids, map(attrgetter(f.name), ordered)):
+        for name, schema in SCHEMA.items():
+            columns = tables.get(name) or ((),) * len(schema)
+            for (column, _), cells in zip(schema, columns, strict=True):
+                self.columns[name, column] = cells
+            key = columns[0]
+            self.position[name] = dict(zip(key, range(len(key))))
+            order = sorted(range(len(key)), key=list(map(str, key)).__getitem__)
+            ids = self.ids[name] = list(map(key.__getitem__, order))
+            for (column, _), cells in zip(schema[1:], columns[1:]):
+                index = self.index[name, column] = {}
+                for row_id, value in zip(ids, map(cells.__getitem__, order)):
                     index.setdefault(value, []).append(row_id)
-        # held directly, since a read through `index` hashes its tuple key
-        self._lang_ids_of_code = self.index["language", "lang_code"]
-        self._page_ids_of_title = self.index["page", "page_title"]
-        self._lang_pos_ids_of_page = self.index["lang_pos", "page_id"]
-        self._translation_ids_of_lang_pos = self.index["translation", "lang_pos_id"]
-        self._entry_ids_of_translation = self.index["translation_entry", "translation_id"]
-        self._text_ids_of_text = self.index["wiki_text", "text"]
-        self._entry_ids_of_text = self.index["translation_entry", "wiki_text_id"]
 
-    @classmethod
-    def from_tables(cls, tables: dict[str, dict[int, object]]) -> DictionaryStore:
-        """A store over the row tables named as in TABLES."""
-        return cls(**{attr: tables[name] for name, (_, attr) in TABLES.items()})
+    def rows(self, table: str) -> Iterator[tuple]:
+        """The rows of `table` as tuples of cells, in file order."""
+        return zip(*(self.columns[table, column] for column, _ in SCHEMA[table]))
 
-    def tables(self) -> dict[str, dict[int, object]]:
-        """The row tables by table name, in TABLES order."""
-        return {name: getattr(self, attr) for name, (_, attr) in TABLES.items()}
-
-    def language_by_code(self, code: str) -> LanguageRow:
-        return self.languages[self._lang_id(code)]
+    def _cell(self, table: str, column: str, row_id: int) -> int | str:
+        return self.columns[table, column][self.position[table][row_id]]
 
     def _lang_id(self, code: str) -> int:
         try:
-            return self._lang_ids_of_code[code][0]
+            return self.index["language", "lang_code"][code][0]
         except KeyError:
             raise UnknownLanguageError(code) from None
 
@@ -165,16 +116,17 @@ class DictionaryStore:
         """
         src = self._lang_id(src_lang)
         tgt = self._lang_id(tgt_lang)
+        index, cell = self.index, self._cell
         terms: set[str] = set()
-        for page_id in self._page_ids_of_title.get(headword, ()):
-            for lp_id in self._lang_pos_ids_of_page.get(page_id, ()):
-                if self.lang_pos[lp_id].lang_id != src:
+        for page_id in index["page", "page_title"].get(headword, ()):
+            for lp_id in index["lang_pos", "page_id"].get(page_id, ()):
+                if cell("lang_pos", "lang_id", lp_id) != src:
                     continue
-                for tr_id in self._translation_ids_of_lang_pos.get(lp_id, ()):
-                    for entry_id in self._entry_ids_of_translation.get(tr_id, ()):
-                        entry = self.translation_entries[entry_id]
-                        if entry.lang_id == tgt:
-                            terms.add(self.wiki_texts[entry.wiki_text_id].text)
+                for tr_id in index["translation", "lang_pos_id"].get(lp_id, ()):
+                    for entry_id in index["translation_entry", "translation_id"].get(tr_id, ()):
+                        if cell("translation_entry", "lang_id", entry_id) == tgt:
+                            text_id = cell("translation_entry", "wiki_text_id", entry_id)
+                            terms.add(cell("wiki_text", "text", text_id))
         return sorted(terms)
 
     def reverse_translations(self, term: str, term_lang: str, entry_lang: str) -> list[str]:
@@ -185,131 +137,115 @@ class DictionaryStore:
         """
         tlang = self._lang_id(term_lang)
         elang = self._lang_id(entry_lang)
+        index, cell = self.index, self._cell
         headwords: set[str] = set()
-        for text_id in self._text_ids_of_text.get(term, ()):
-            for entry_id in self._entry_ids_of_text.get(text_id, ()):
-                entry = self.translation_entries[entry_id]
-                if entry.lang_id != tlang:
+        for text_id in index["wiki_text", "text"].get(term, ()):
+            for entry_id in index["translation_entry", "wiki_text_id"].get(text_id, ()):
+                if cell("translation_entry", "lang_id", entry_id) != tlang:
                     continue
-                translation = self.translation_rows[entry.translation_id]
-                lp = self.lang_pos[translation.lang_pos_id]
-                if lp.lang_id != elang:
+                tr_id = cell("translation_entry", "translation_id", entry_id)
+                lp_id = cell("translation", "lang_pos_id", tr_id)
+                if cell("lang_pos", "lang_id", lp_id) != elang:
                     continue
-                headwords.add(self.pages[lp.page_id].page_title)
+                headwords.add(cell("page", "page_title", cell("lang_pos", "page_id", lp_id)))
         return sorted(headwords)
 
     def stats(self) -> StoreStats:
-        entries_by_language: dict[str, int] = defaultdict(int)
-        for lp in self.lang_pos.values():
-            entries_by_language[self.languages[lp.lang_id].lang_code] += 1
-        pairs: dict[tuple[str, str], int] = defaultdict(int)
-        for entry in self.translation_entries.values():
-            translation = self.translation_rows[entry.translation_id]
-            src_lang = self.languages[self.lang_pos[translation.lang_pos_id].lang_id]
-            tgt_lang = self.languages[entry.lang_id]
-            pairs[(src_lang.lang_code, tgt_lang.lang_code)] += 1
+        cols = self.columns
+        code = dict(zip(cols["language", "lang_id"], cols["language", "lang_code"])).__getitem__
+        lp_lang = dict(zip(cols["lang_pos", "lang_pos_id"], cols["lang_pos", "lang_id"])).__getitem__
+        tr_lp = dict(zip(cols["translation", "translation_id"], cols["translation", "lang_pos_id"])).__getitem__
+        entries = cols["translation_entry", "translation_id"]
+        sources = map(code, map(lp_lang, map(tr_lp, entries)))
+        targets = map(code, cols["translation_entry", "lang_id"])
         return StoreStats(
-            entry_count=len(self.lang_pos),
-            entries_by_language=dict(entries_by_language),
-            translation_entry_count=len(self.translation_entries),
-            translation_pairs=dict(pairs),
+            entry_count=len(self.ids["lang_pos"]),
+            entries_by_language=dict(Counter(map(code, cols["lang_pos", "lang_id"]))),
+            translation_entry_count=len(entries),
+            translation_pairs=dict(Counter(zip(sources, targets))),
         )
 
     def verify_integrity(self) -> None:
         """Full-scan referential integrity check; raises IngestError on the
-        first violation."""
+        first violation, in file order within each table."""
         codes: set[str] = set()
-        for lang in self.languages.values():
-            if not lang.lang_code:
-                raise IngestError(f"language {lang.lang_id}: empty lang_code")
-            if lang.lang_code in codes:
-                raise IngestError(f"language {lang.lang_id}: duplicate code {lang.lang_code!r}")
-            codes.add(lang.lang_code)
-        for page in self.pages.values():
-            if not page.page_title:
-                raise IngestError(f"page {page.page_id}: empty page_title")
-        for wt in self.wiki_texts.values():
-            if not wt.text:
-                raise IngestError(f"wiki_text {wt.wiki_text_id}: empty text")
-        for lp in self.lang_pos.values():
-            if lp.page_id not in self.pages:
-                raise IngestError(f"lang_pos {lp.lang_pos_id}: unknown page_id {lp.page_id}")
-            if lp.lang_id not in self.languages:
-                raise IngestError(f"lang_pos {lp.lang_pos_id}: unknown lang_id {lp.lang_id}")
-        for meaning in self.meanings.values():
-            if meaning.lang_pos_id not in self.lang_pos:
+        for lang_id, lang_code, _ in self.rows("language"):
+            if not lang_code:
+                raise IngestError(f"language {lang_id}: empty lang_code")
+            if lang_code in codes:
+                raise IngestError(f"language {lang_id}: duplicate code {lang_code!r}")
+            codes.add(lang_code)
+        for page_id, title in self.rows("page"):
+            if not title:
+                raise IngestError(f"page {page_id}: empty page_title")
+        for text_id, text in self.rows("wiki_text"):
+            if not text:
+                raise IngestError(f"wiki_text {text_id}: empty text")
+        pos = self.position
+        for lp_id, page_id, lang_id in self.rows("lang_pos"):
+            if page_id not in pos["page"]:
+                raise IngestError(f"lang_pos {lp_id}: unknown page_id {page_id}")
+            if lang_id not in pos["language"]:
+                raise IngestError(f"lang_pos {lp_id}: unknown lang_id {lang_id}")
+        for meaning_id, lp_id in self.rows("meaning"):
+            if lp_id not in pos["lang_pos"]:
+                raise IngestError(f"meaning {meaning_id}: unknown lang_pos_id {lp_id}")
+        for tr_id, lp_id, meaning_id in self.rows("translation"):
+            if lp_id not in pos["lang_pos"]:
+                raise IngestError(f"translation {tr_id}: unknown lang_pos_id {lp_id}")
+            if meaning_id not in pos["meaning"]:
+                raise IngestError(f"translation {tr_id}: unknown meaning_id {meaning_id}")
+            owner = self._cell("meaning", "lang_pos_id", meaning_id)
+            if owner != lp_id:
                 raise IngestError(
-                    f"meaning {meaning.meaning_id}: unknown lang_pos_id {meaning.lang_pos_id}"
+                    f"translation {tr_id}: meaning {meaning_id} belongs to "
+                    f"lang_pos {owner}, not {lp_id}"
                 )
-        for tr in self.translation_rows.values():
-            if tr.lang_pos_id not in self.lang_pos:
-                raise IngestError(
-                    f"translation {tr.translation_id}: unknown lang_pos_id {tr.lang_pos_id}"
-                )
-            meaning = self.meanings.get(tr.meaning_id)
-            if meaning is None:
-                raise IngestError(
-                    f"translation {tr.translation_id}: unknown meaning_id {tr.meaning_id}"
-                )
-            if meaning.lang_pos_id != tr.lang_pos_id:
-                raise IngestError(
-                    f"translation {tr.translation_id}: meaning {tr.meaning_id} belongs to "
-                    f"lang_pos {meaning.lang_pos_id}, not {tr.lang_pos_id}"
-                )
-        for entry in self.translation_entries.values():
-            eid = entry.translation_entry_id
-            if entry.translation_id not in self.translation_rows:
-                raise IngestError(
-                    f"translation_entry {eid}: unknown translation_id {entry.translation_id}"
-                )
-            if entry.lang_id not in self.languages:
-                raise IngestError(f"translation_entry {eid}: unknown lang_id {entry.lang_id}")
-            if entry.wiki_text_id not in self.wiki_texts:
-                raise IngestError(
-                    f"translation_entry {eid}: unknown wiki_text_id {entry.wiki_text_id}"
-                )
+        for entry_id, tr_id, lang_id, text_id in self.rows("translation_entry"):
+            if tr_id not in pos["translation"]:
+                raise IngestError(f"translation_entry {entry_id}: unknown translation_id {tr_id}")
+            if lang_id not in pos["language"]:
+                raise IngestError(f"translation_entry {entry_id}: unknown lang_id {lang_id}")
+            if text_id not in pos["wiki_text"]:
+                raise IngestError(f"translation_entry {entry_id}: unknown wiki_text_id {text_id}")
 
 
-def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> dict[int, object]:
-    """Build table `name` from its records (lists of cells), keyed by id.
+def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> tuple[tuple, ...]:
+    """Table `name` built from its records (lists of cells): one tuple of
+    cells per column, in SCHEMA order, each in file order.
 
     Every source gets the same checks: the column count, each cell's
-    type (int or str, as the row type declares) and unique ids; a
-    failure raises IngestError naming record i as `where` + i, from 1.
-    With `text`, cells are strings, as the TSV files hold them, and
-    integer columns are parsed first.
+    type (int or str, as SCHEMA declares) and unique ids; a failure
+    raises IngestError naming record i as `where` + i, from 1, for the
+    first faulty record. With `text`, cells are strings, as the TSV files
+    hold them, and integer columns are parsed first.
     """
-    row_type = TABLES[name][0]
-    field_list = fields(row_type)
-    types = [int if f.type == "int" else str for f in field_list]
+    schema = SCHEMA[name]
     if text:
-        records = [_parse_ints(cells, types) for cells in records]
+        records = [_parse_ints(cells, schema) for cells in records]
     # checked a column at a time, which keeps a snapshot load fast; exact
     # types, since a JSON true is a Python int
-    if (
-        set(map(type, records)) - {list}
-        or set(map(len, records)) - {len(types)}
-        or any(set(map(type, map(itemgetter(j), records))) - {t} for j, t in enumerate(types))
-    ):
-        for i, cells in enumerate(records, start=1):
-            if fault := _row_fault(field_list, types, cells):
-                raise IngestError(f"{where}{i}: {fault}")
-    rows = {cells[0]: row_type(*cells) for cells in records}
-    if len(rows) != len(records):
+    if set(map(type, records)) - {list} or set(map(len, records)) - {len(schema)}:
+        _raise_first_fault(schema, records, where)
+    columns = tuple(zip(*records)) or ((),) * len(schema)
+    if any(set(map(type, cells)) - {t} for (_, t), cells in zip(schema, columns)):
+        _raise_first_fault(schema, records, where)
+    key = columns[0]
+    if len(set(key)) != len(key):
         seen = set()
-        for i, cells in enumerate(records, start=1):
-            if cells[0] in seen:
-                raise IngestError(f"{where}{i}: duplicate {field_list[0].name} {cells[0]}")
-            seen.add(cells[0])
-    return rows
+        for i, row_id in enumerate(key, start=1):
+            if row_id in seen:
+                raise IngestError(f"{where}{i}: duplicate {schema[0][0]} {row_id}")
+            seen.add(row_id)
+    return columns
 
 
-def _parse_ints(cells: list[str], types: list[type]) -> list:
+def _parse_ints(cells: list[str], schema: tuple[tuple[str, type], ...]) -> list:
     """Text cells with each integer column parsed; a cell that is no
     integer, or a row of the wrong length, is left for the checks."""
-    if len(cells) != len(types):
+    if len(cells) != len(schema):
         return cells
-    return [_parse_int(v) if t is int else v for v, t in zip(cells, types)]
+    return [_parse_int(v) if t is int else v for v, (_, t) in zip(cells, schema)]
 
 
 def _parse_int(value: str) -> int | str:
@@ -319,14 +255,30 @@ def _parse_int(value: str) -> int | str:
         return value
 
 
-def _row_fault(field_list, types: list[type], cells: object) -> str | None:
-    if type(cells) is not list or len(cells) != len(types):
-        got = len(cells) if type(cells) is list else repr(cells)
-        return f"expected {len(types)} columns, got {got}"
-    for f, t, value in zip(field_list, types, cells):
-        if type(value) is not t:
-            return f"{f.name} is not {'an integer' if t is int else 'a string'}: {value!r}"
-    return None
+def _raise_first_fault(schema: tuple[tuple[str, type], ...], records: list, where: str) -> None:
+    """Raise IngestError for the first record that is no list of
+    len(schema) cells of the declared types."""
+    for i, cells in enumerate(records, start=1):
+        if type(cells) is not list or len(cells) != len(schema):
+            got = len(cells) if type(cells) is list else repr(cells)
+            raise IngestError(f"{where}{i}: expected {len(schema)} columns, got {got}")
+        for (column, t), value in zip(schema, cells):
+            if type(value) is not t:
+                kind = "an integer" if t is int else "a string"
+                raise IngestError(f"{where}{i}: {column} is not {kind}: {value!r}")
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Cyclic GC paused for a load, which makes containers by the hundred
+    thousand and no cycles; the collector's prior state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _tsv_records(path: Path) -> list[list[str]]:
@@ -343,6 +295,7 @@ def _tsv_records(path: Path) -> list[list[str]]:
     return records
 
 
+@_collector_paused()
 def ingest_tables(directory: str | Path) -> DictionaryStore:
     """Load the seven TSV tables from `directory` and verify integrity.
 
@@ -354,7 +307,7 @@ def ingest_tables(directory: str | Path) -> DictionaryStore:
     for path in paths.values():
         if not path.is_file():
             raise IngestError(f"missing table file: {path}")
-    store = DictionaryStore.from_tables(
+    store = DictionaryStore(
         {name: parse_rows(name, _tsv_records(path), f"{path.name}:") for name, path in paths.items()}
     )
     store.verify_integrity()
@@ -363,14 +316,12 @@ def ingest_tables(directory: str | Path) -> DictionaryStore:
 
 def save_snapshot(store: DictionaryStore, path: str | Path) -> None:
     """Serialize the store to a single JSON file (the CLI's store format)."""
-    payload = {
-        name: [[getattr(row, f.name) for f in fields(row)] for row in rows.values()]
-        for name, rows in store.tables().items()
-    }
+    payload = {name: list(map(list, store.rows(name))) for name in TABLE_NAMES}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
 
 
+@_collector_paused()
 def load_snapshot(path: str | Path) -> DictionaryStore:
     """Load a save_snapshot file with the row checks of ingest_tables."""
     path = Path(path)
@@ -383,11 +334,11 @@ def load_snapshot(path: str | Path) -> DictionaryStore:
         raise IngestError(f"malformed store snapshot {path}: not a JSON object")
     tables = {}
     for name in TABLE_NAMES:
-        rows = payload.get(name)
-        if not isinstance(rows, list):
+        if not isinstance(payload.get(name), list):
             raise IngestError(f"malformed store snapshot {path}: table {name!r} is not a list")
-        tables[name] = parse_rows(name, rows, f"{path.name}: {name} row ", text=False)
-    store = DictionaryStore.from_tables(tables)
+        # popped, so that a table's decoded records go once its columns are built
+        tables[name] = parse_rows(name, payload.pop(name), f"{path.name}: {name} row ", text=False)
+    store = DictionaryStore(tables)
     store.verify_integrity()
     return store
 

@@ -11,9 +11,10 @@ Responses are JSON. Every error comes back as {"error": message} with a
 4xx or 5xx status, also one that http.server itself detects: a request
 line or headers that do not parse or are too long, or an unknown
 method; its status line is written even when the request line does not
-parse. The store is immutable shared state, so concurrent requests are
-safe. A pattern-count cap and a request timeout guard the
-endpoint against oversized queries. The timeout is one deadline from a
+parse. An HTTP/0.9 request, which http.server would answer without a
+status line, is answered 400. The store is immutable shared state, so
+concurrent requests are safe. A pattern-count cap and a request timeout
+guard the endpoint against oversized queries. The timeout is one deadline from a
 request's first byte over all its reads: a request line, headers or
 body not wholly received when it passes is answered 408, a query whose
 answer is not ready to encode by then is answered 503, and a body
@@ -195,6 +196,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             return False
         if not super().parse_request():
+            return False
+        # http.server takes a line with no version (`GET /x`) as HTTP/0.9,
+        # whose answer has no status line and no headers
+        if self.request_version == "HTTP/0.9":
+            self.send_error(400, f"HTTP/0.9 is not served: {self.requestline!r}")
             return False
         # only a POST /sparql body sized by Content-Length is read; any
         # other body, left unread, would be parsed as the next request

@@ -13,11 +13,10 @@ parsed (sparqlet.parse_query, against DEFAULT_PREFIXES by default).
 
 from __future__ import annotations
 
-from dataclasses import Field, dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .dictstore import TABLES, DictionaryStore
+from .dictstore import SCHEMA, DictionaryStore
 from .errors import LexalignError
 
 WIKPA_PREFIX = "wikpa"
@@ -88,36 +87,37 @@ TABLE_PREDICATES = {
 
 
 class _Column:
-    """One predicate: the table and the row field it reads, the store's ids
-    of that table and, unless the field is the table's key, the store's
-    index of the field, both in subject byte order. A literal's text is
-    read as the cell type, an int column's through _parse_id; a key
-    literal decodes to its row as a subject IRI does."""
+    """One predicate: the store's cells of the column it reads, its table's
+    id -> position map and ids and, unless the column is the table's key,
+    the store's index of the column, the last two in subject byte order.
+    A literal's text is read as the cell type, an int column's through
+    _parse_id; a key literal decodes to its row as a subject IRI does."""
 
-    def __init__(self, store: DictionaryStore, table: str, f: Field):
-        self.rows = getattr(store, TABLES[table][1])
+    def __init__(self, store: DictionaryStore, table: str, column: str, cell_type: type):
+        self.cells = store.columns[table, column]
+        self.position = store.position[table]
         self.subject_prefix = f"{WIKPA_BASE}{table}/"
-        self.cell = attrgetter(f.name)
         self.ids = store.ids[table]
-        self.values = store.index.get((table, f.name))  # None for the key, which is not indexed
-        self.ints = f.type == "int"
+        self.values = store.index.get((table, column))  # None for the key, which is not indexed
+        self.ints = cell_type is int
 
     def subject(self, row_id: int) -> Iri:
         return Iri(self.subject_prefix + str(row_id))
 
-    def row(self, subject: Term) -> object | None:
-        """The row a subject IRI `wikpa:<table>/<id>` names in this table."""
+    def position_of(self, subject: Term) -> int | None:
+        """The position of the row a subject IRI `wikpa:<table>/<id>` names
+        in this table."""
         if not isinstance(subject, Iri) or not subject.value.startswith(self.subject_prefix):
             return None
         row_id = _parse_id(subject.value[len(self.subject_prefix) :])
-        return None if row_id is None else self.rows.get(row_id)
+        return None if row_id is None else self.position.get(row_id)
 
     def ids_with(self, text: str) -> Sequence[int]:
         """The ids of the rows whose cell reads `text`, in subject byte order."""
         value = _parse_id(text) if self.ints else text
         if self.values is not None:
             return self.values.get(value, ())
-        return (value,) if value in self.rows else ()
+        return (value,) if value in self.position else ()
 
 
 def _parse_id(text: str) -> int | None:
@@ -134,17 +134,17 @@ class TableGraph:
 
     Each row is the subject `wikpa:<table>/<id>` of one triple per
     column, whose object is the cell's text as a plain literal. Triples
-    are computed from the rows on each lookup, and object-bound lookups
-    read the store's own column indexes: the view keeps neither triples
-    nor indexes. The store is not written after construction, so
+    are computed from the store's columns on each lookup, and
+    object-bound lookups read the store's own column indexes: the view
+    keeps neither triples nor indexes. The store is not written after construction, so
     concurrent readers are safe.
     """
 
     def __init__(self, store: DictionaryStore):
         self._columns: dict[str, _Column] = {}  # predicate IRI -> column
-        for table, (row_type, _) in TABLES.items():
-            for pred_name, f in zip(TABLE_PREDICATES[table], fields(row_type), strict=True):
-                self._columns[WIKPA_BASE + pred_name] = _Column(store, table, f)
+        for table, schema in SCHEMA.items():
+            for pred_name, (column, cell_type) in zip(TABLE_PREDICATES[table], schema, strict=True):
+                self._columns[WIKPA_BASE + pred_name] = _Column(store, table, column, cell_type)
 
     def __len__(self) -> int:
         return self.count()
@@ -176,17 +176,17 @@ class TableGraph:
         if column is None or (o is not None and not isinstance(o, Literal)):
             return []
         if s is not None:
-            row = column.row(s)
-            if row is None:
+            at = column.position_of(s)
+            if at is None:
                 return []
-            text = str(column.cell(row))
+            text = str(column.cells[at])
             if o is None:
                 return [Triple(s, p, Literal(text))]
             return [Triple(s, p, o)] if text == o.text else []
         if o is not None:
             return [Triple(column.subject(i), p, o) for i in column.ids_with(o.text)]
-        rows, cell = column.rows, column.cell
-        return [Triple(column.subject(i), p, Literal(str(cell(rows[i])))) for i in column.ids]
+        cells, position = column.cells, column.position
+        return [Triple(column.subject(i), p, Literal(str(cells[position[i]]))) for i in column.ids]
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None, o: Optional[Term] = None) -> int:
         """len(lookup(s, p, o)); from index and table sizes, building no

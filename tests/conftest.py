@@ -176,8 +176,15 @@ def to_tables(graph: TableGraph) -> dictstore.DictionaryStore:
     records: dict[str, list[list[str]]] = {table: [] for table in ORACLE_PREDICATES}
     for (table, _), row in sorted(cells.items()):
         records[table].append([row[predicate] for predicate in ORACLE_PREDICATES[table]])
-    return dictstore.DictionaryStore.from_tables(
-        {name: dictstore.parse_rows(name, rows, f"{name} row ") for name, rows in records.items()}
+    return store_of(records, text=True)
+
+
+def store_of(records: dict[str, list[list]], *, text: bool = False) -> dictstore.DictionaryStore:
+    """A store over records (lists of cells) by table name; a table not
+    named is empty. Cells are ints and strs, as a snapshot holds them, or
+    with `text` all strs, as the TSV files hold them."""
+    return dictstore.DictionaryStore(
+        {name: dictstore.parse_rows(name, rows, f"{name} row ", text=text) for name, rows in records.items()}
     )
 
 

@@ -17,6 +17,7 @@ from conftest import (
     brute_force_evaluate,
     exhaustive_local_alignment,
     random_query,
+    store_of,
 )
 from lexalign.aligner import (
     Alignment,
@@ -29,7 +30,7 @@ from lexalign.aligner import (
     string_correspondences,
     _translated,
 )
-from lexalign.dictstore import DictionaryStore, LanguageRow, ingest_tables
+from lexalign.dictstore import ingest_tables
 from lexalign.labelkit import DictionaryTranslator
 from lexalign.lexiserve import ServiceConfig, client_sparql, client_translate, serve
 from lexalign.ontomodel import EntityId, Kind
@@ -66,7 +67,7 @@ def test_criterion_1_translation_table_reproduction():
 
 
 def test_criterion_2_sparql_oracle_equivalence(idioms_triples):
-    tiny = to_triples(DictionaryStore(languages={1: LanguageRow(1, "en", "English")}))
+    tiny = to_triples(store_of({"language": [[1, "en", "English"]]}))
     rng = random.Random(443)
     checked = 0
     for store in (idioms_triples, tiny):
@@ -88,13 +89,13 @@ def test_criterion_3_http_transparency(idioms_store, biblio_store):
     query_text = (FIXTURES / "translations_query.rq").read_text("utf-8")
     for store in (idioms_store, biblio_store):
         with serve(ServiceConfig(port=0), store) as handle:
-            codes = [lang.lang_code for lang in store.languages.values()]
-            for page in store.pages.values():
+            codes = store.columns["language", "lang_code"]
+            for title in store.columns["page", "page_title"]:
                 for src in codes:
                     for tgt in codes:
                         assert client_translate(
-                            handle.endpoint, page.page_title, src, tgt
-                        ) == store.translations(page.page_title, src, tgt)
+                            handle.endpoint, title, src, tgt
+                        ) == store.translations(title, src, tgt)
             if store is idioms_store:
                 header, rows = client_sparql(handle.endpoint, query_text)
                 assert {tuple(r) for r in rows} == IDIOM_ROWS

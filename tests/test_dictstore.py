@@ -1,11 +1,12 @@
+import gc
 import json
 import re
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, store_of
+from lexalign import dictstore
 from lexalign.dictstore import (
-    DictionaryStore,
     IngestError,
     TABLE_NAMES,
     UnknownLanguageError,
@@ -58,20 +59,14 @@ def oracle_translations(raw, headword, src_code, tgt_code):
 def test_ingest_row_counts_match_files():
     store = ingest_tables(IDIOMS)
     raw = _read_raw(IDIOMS)
-    assert len(store.languages) == len(raw["language"])
-    assert len(store.pages) == len(raw["page"])
-    assert len(store.lang_pos) == len(raw["lang_pos"])
-    assert len(store.meanings) == len(raw["meaning"])
-    assert len(store.translation_rows) == len(raw["translation"])
-    assert len(store.translation_entries) == len(raw["translation_entry"])
-    assert len(store.wiki_texts) == len(raw["wiki_text"])
+    for name in TABLE_NAMES:
+        assert len(store.ids[name]) == len(raw[name]), name
 
 
 def test_single_language_fixture(tmp_path):
     _write_tables(tmp_path, {"language": [(1, "en", "English")]})
     store = ingest_tables(tmp_path)
-    assert len(store.languages) == 1
-    assert store.languages[1].lang_name == "English"
+    assert list(store.rows("language")) == [(1, "en", "English")]
 
 
 def test_idioms_stats(idioms_store):
@@ -200,8 +195,8 @@ def test_translations_match_brute_force_join(directory):
 def test_reverse_is_exact_inverse(biblio_store):
     store = biblio_store
     codes = list(code for code in ("en", "fr"))
-    headwords = [p.page_title for p in store.pages.values()]
-    terms = [w.text for w in store.wiki_texts.values()]
+    headwords = store.columns["page", "page_title"]
+    terms = store.columns["wiki_text", "text"]
     for entry_lang in codes:
         for term_lang in codes:
             for h in headwords:
@@ -226,15 +221,9 @@ def test_integrity_verified_after_ingest(biblio_store):
 
 
 def test_integrity_catches_doctored_store(idioms_store):
-    broken = DictionaryStore(
-        languages=dict(idioms_store.languages),
-        pages=dict(idioms_store.pages),
-        lang_pos={1: idioms_store.lang_pos[1].__class__(1, 999, 1)},
-        meanings=dict(idioms_store.meanings),
-        translation_rows=dict(idioms_store.translation_rows),
-        translation_entries=dict(idioms_store.translation_entries),
-        wiki_texts=dict(idioms_store.wiki_texts),
-    )
+    records = {name: list(map(list, idioms_store.rows(name))) for name in TABLE_NAMES}
+    records["lang_pos"] = [[1, 999, 1]]
+    broken = store_of(records)
     with pytest.raises(IngestError, match="unknown page_id 999"):
         broken.verify_integrity()
 
@@ -247,6 +236,87 @@ def test_snapshot_round_trip(tmp_path, idioms_store):
     assert loaded.translations("rain cats and dogs", "en", "ru") == [
         "лить как из ведра"
     ]
+
+
+# ids 9, 10 and 11 are in file order; their decimal strings sort 10, 11, 9
+FILE_ORDER = {
+    "language": [[9, "sv", "Swedish"], [10, "en", "English"]],
+    "page": [[9, "ösregna"], [10, "rain"]],
+    "lang_pos": [[9, 9, 9], [10, 10, 10], [11, 9, 9]],
+    "meaning": [[9, 9], [10, 10]],
+    "translation": [[9, 9, 9], [10, 10, 10]],
+    "translation_entry": [[9, 9, 10, 10], [10, 10, 9, 9]],
+    "wiki_text": [[9, "ösregna"], [10, "rain"]],
+}
+
+
+def _snapshot_text(payload):
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+
+
+def test_a_load_keeps_file_order(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(_snapshot_text(FILE_ORDER), "utf-8")
+    store = load_snapshot(path)
+    save_snapshot(store, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == path.read_bytes()
+    assert list(store.stats().entries_by_language.items()) == [("sv", 2), ("en", 1)]
+    for name in TABLE_NAMES:  # ids and indexes in subject byte order
+        assert store.ids[name] == sorted((row[0] for row in FILE_ORDER[name]), key=str), name
+    assert store.index["lang_pos", "page_id"] == {10: [10], 9: [11, 9]}
+    assert store.index["lang_pos", "lang_id"] == {10: [10], 9: [11, 9]}
+    assert store.translations("rain", "en", "sv") == ["ösregna"]
+    assert store.reverse_translations("rain", "en", "sv") == ["ösregna"]
+
+
+@pytest.mark.parametrize("source", ["snapshot", "tables"])
+def test_the_first_dangling_reference_in_the_file_is_named(tmp_path, source):
+    payload = dict(FILE_ORDER, translation_entry=[[9, 9, 10, 99], [10, 10, 9, 98]])
+    if source == "snapshot":
+        path = tmp_path / "store.json"
+        path.write_text(_snapshot_text(payload), "utf-8")
+        with pytest.raises(IngestError, match="translation_entry 9: unknown wiki_text_id 99$"):
+            load_snapshot(path)
+    else:
+        with pytest.raises(IngestError, match="translation_entry 9: unknown wiki_text_id 99$"):
+            ingest_tables(_write_tables(tmp_path, payload))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("malformed", [False, True], ids=["good", "malformed"])
+@pytest.mark.parametrize("source", ["snapshot", "tables"])
+def test_a_load_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, idioms_store, source, malformed, enabled
+):
+    if source == "snapshot":
+        path = tmp_path / "store.json"
+        save_snapshot(idioms_store, path)
+        if malformed:
+            path.write_text(path.read_text("utf-8").replace('"English"', "7"), "utf-8")
+        load = load_snapshot
+    else:
+        path = _write_tables(tmp_path, {"page": [(1, "ok"), (2,)] if malformed else [(1, "ok")]})
+        load = ingest_tables
+    parse_rows = dictstore.parse_rows
+    collecting = []  # the collector's state while each table is built
+
+    def watched(*args, **kwargs):
+        collecting.append(gc.isenabled())
+        return parse_rows(*args, **kwargs)
+
+    monkeypatch.setattr(dictstore, "parse_rows", watched)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if malformed:
+            with pytest.raises(IngestError):
+                load(path)
+        else:
+            load(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collecting and not any(collecting)
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,8 @@ from urllib.request import urlopen
 
 import pytest
 
-from conftest import IDIOM_ROWS
+from conftest import IDIOM_ROWS, store_of
 from lexalign import lexiserve
-from lexalign.dictstore import DictionaryStore, WikiTextRow
 from lexalign.labelkit import DictionaryTranslator, EndpointTranslator
 from lexalign.lexiserve import (
     ClientPayloadError,
@@ -52,12 +51,12 @@ def test_translate_round_trip(idioms_service, idioms_store):
 
 
 def test_translate_transparency_every_word(biblio_service, biblio_store):
-    for page in biblio_store.pages.values():
+    for title in biblio_store.columns["page", "page_title"]:
         for src in ("en", "fr"):
             for tgt in ("en", "fr"):
                 assert client_translate(
-                    biblio_service.endpoint, page.page_title, src, tgt
-                ) == biblio_store.translations(page.page_title, src, tgt)
+                    biblio_service.endpoint, title, src, tgt
+                ) == biblio_store.translations(title, src, tgt)
 
 
 def test_reverse_endpoint(biblio_service):
@@ -122,7 +121,7 @@ def test_pattern_cap_rejects_before_evaluation(idioms_store):
 
 
 def test_sparql_timeout_is_503_and_the_next_request_is_answered():
-    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 201)})
+    store = store_of({"wiki_text": [[i, f"word {i}"] for i in range(1, 201)]})
     # three disconnected patterns: a cross product of 200 ** 3 bindings
     text = "SELECT ?x1 WHERE { " + " ".join(
         f"?a{n} wikpa:wiki_text_text ?x{n} ." for n in (1, 2, 3)
@@ -144,7 +143,7 @@ TIMEOUT_SLACK_S = 0.5
 
 
 def test_sparql_cross_product_is_503_within_the_timeout():
-    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 301)})
+    store = store_of({"wiki_text": [[i, f"word {i}"] for i in range(1, 301)]})
     # two disconnected patterns: 90,000 rows
     text = "SELECT ?x1 ?x2 WHERE { ?a1 wikpa:wiki_text_text ?x1 . ?a2 wikpa:wiki_text_text ?x2 . }"
     with serve(ServiceConfig(request_timeout_ms=100), store) as handle:
@@ -401,7 +400,7 @@ def test_declared_body_over_the_cap_is_413_before_it_is_read(idioms_store, caplo
 
 def test_query_at_the_pattern_cap_is_answered(idioms_service, idioms_store):
     text = "SELECT ?c WHERE { " + "?l wikpa:lang_code ?c . " * lexiserve.DEFAULT_MAX_PATTERNS + "}"
-    codes = sorted(row.lang_code for row in idioms_store.languages.values())
+    codes = sorted(idioms_store.columns["language", "lang_code"])
     assert sorted(client_sparql(idioms_service.endpoint, text)[1]) == [[code] for code in codes]
 
 
@@ -438,6 +437,9 @@ def test_responses_that_close_say_so(idioms_store, length, body, status):
             id="200-headers",
         ),
         pytest.param(b"GARBAGE\r\n\r\n", 400, id="one-word-line"),
+        pytest.param(b"GET /nope\r\n\r\n", 400, id="http-0.9-unknown-path"),
+        pytest.param(b"GET /stats\r\n\r\n", 400, id="http-0.9-stats"),
+        pytest.param(b"GET /stats HTTP/0.9\r\n\r\n", 400, id="http-0.9-named"),
         pytest.param(b"GET /stats HTTP/2.0\r\n\r\n", 505, id="http-2"),
     ],
 )
@@ -514,14 +516,14 @@ def attempts(monkeypatch):
 
 def test_client_lookups_share_one_connection(biblio_store, accepts, attempts):
     with serve(ServiceConfig(), biblio_store) as handle:
-        for title in sorted(p.page_title for p in biblio_store.pages.values()):
+        for title in sorted(biblio_store.columns["page", "page_title"]):
             assert client_translate(handle.endpoint, title, "fr", "en") == biblio_store.translations(
                 title, "fr", "en"
             )
             assert client_reverse_translate(
                 handle.endpoint, title, "en", "fr"
             ) == biblio_store.reverse_translations(title, "en", "fr")
-    assert attempts[0] == 2 * len(biblio_store.pages) > 2
+    assert attempts[0] == 2 * len(biblio_store.ids["page"]) > 2
     assert accepts[0] == 1
 
 
@@ -596,7 +598,7 @@ def test_timeout_on_a_reused_connection_is_not_replayed(attempts):
 
 
 def test_two_threads_look_up_concurrently(biblio_service, biblio_store):
-    titles = sorted(p.page_title for p in biblio_store.pages.values())
+    titles = sorted(biblio_store.columns["page", "page_title"])
     local = DictionaryTranslator(biblio_store)
 
     def lookups(words):

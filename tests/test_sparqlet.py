@@ -9,18 +9,9 @@ from conftest import (
     print_query,
     random_query,
     reference_plan_order,
+    store_of,
 )
-from lexalign.dictstore import (
-    TABLES,
-    DictionaryStore,
-    LangPosRow,
-    LanguageRow,
-    MeaningRow,
-    PageRow,
-    TranslationEntryRow,
-    TranslationRow,
-    WikiTextRow,
-)
+from lexalign.dictstore import TABLE_NAMES, DictionaryStore
 from lexalign import sparqlet
 from lexalign.sparqlet import (
     Query,
@@ -318,22 +309,21 @@ def shared_word_store(pages: int) -> DictionaryStore:
     sv, except page 1, "rain cats and dogs", which has two. A page's fr
     and de entries share one wiki_text row, and its sv entry uses the next
     page's row, so entries outnumber wiki_text rows three to one."""
-    tables = {name: {} for name in TABLES}
+    tables = {name: [] for name in TABLE_NAMES}
     languages = [("en", "English"), ("fr", "French"), ("de", "German"), ("sv", "Swedish")]
     for lang_id, (code, name) in enumerate(languages, start=1):
-        tables["language"][lang_id] = LanguageRow(lang_id, code, name)
+        tables["language"].append([lang_id, code, name])
     for page in range(1, pages + 1):
-        tables["page"][page] = PageRow(page, "rain cats and dogs" if page == 1 else f"word {page}")
-        tables["lang_pos"][page] = LangPosRow(page, page, 1)
-        tables["wiki_text"][page] = WikiTextRow(page, f"mot {page}")
+        tables["page"].append([page, "rain cats and dogs" if page == 1 else f"word {page}"])
+        tables["lang_pos"].append([page, page, 1])
+        tables["wiki_text"].append([page, f"mot {page}"])
         for meaning in (1, 2) if page == 1 else (1,):
             meaning_id = 2 * page + meaning
-            tables["meaning"][meaning_id] = MeaningRow(meaning_id, page)
-            tables["translation"][meaning_id] = TranslationRow(meaning_id, page, meaning_id)
+            tables["meaning"].append([meaning_id, page])
+            tables["translation"].append([meaning_id, page, meaning_id])
             for lang_id, text in ((2, page), (3, page), (4, page % pages + 1)):
-                entry = TranslationEntryRow(10 * meaning_id + lang_id, meaning_id, lang_id, text)
-                tables["translation_entry"][entry.translation_entry_id] = entry
-    return DictionaryStore.from_tables(tables)
+                tables["translation_entry"].append([10 * meaning_id + lang_id, meaning_id, lang_id, text])
+    return store_of(tables)
 
 
 def test_query_cost_follows_result_not_store(translation_query_text):
@@ -369,7 +359,7 @@ def test_query_cost_follows_result_not_store(translation_query_text):
 
 
 def test_deadline_stops_row_rendering(monkeypatch):
-    store = DictionaryStore(wiki_texts={i: WikiTextRow(i, f"word {i}") for i in range(1, 201)})
+    store = store_of({"wiki_text": [[i, f"word {i}"] for i in range(1, 201)]})
     query = parse_query("SELECT ?x WHERE { ?a wikpa:wiki_text_text ?x . }")
     render = sparqlet.render
     rendered = []
