@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
 import threading
@@ -101,14 +102,18 @@ def _cmd_serve(args) -> int:
     host, _, port_text = args.bind.rpartition(":")
     if not host or not port_text.isdigit():
         raise _UsageError(f"--bind must be host:port, got {args.bind!r}")
-    store = dictstore.open_store(args.store)
-    config = lexiserve.ServiceConfig(
-        host=host,
-        port=int(port_text),
-        max_query_patterns=args.max_patterns,
-        request_timeout_ms=args.timeout_ms,
-    )
-    handle = lexiserve.serve(config, store)
+    # the store and its RDF view live as long as the process; frozen, they
+    # are never walked by the collector, which sees only what serving makes
+    with dictstore.collector_paused():
+        store = dictstore.open_store(args.store)
+        config = lexiserve.ServiceConfig(
+            host=host,
+            port=int(port_text),
+            max_query_patterns=args.max_patterns,
+            request_timeout_ms=args.timeout_ms,
+        )
+        handle = lexiserve.serve(config, store)
+        gc.freeze()
     print(f"serving on {handle.endpoint} (Ctrl-C to stop)", flush=True)
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())

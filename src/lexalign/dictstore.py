@@ -269,7 +269,7 @@ def _raise_first_fault(schema: tuple[tuple[str, type], ...], records: list, wher
 
 
 @contextmanager
-def _collector_paused() -> Iterator[None]:
+def collector_paused() -> Iterator[None]:
     """Cyclic GC paused for a load, which makes containers by the hundred
     thousand and no cycles; the collector's prior state is restored."""
     enabled = gc.isenabled()
@@ -295,7 +295,7 @@ def _tsv_records(path: Path) -> list[list[str]]:
     return records
 
 
-@_collector_paused()
+@collector_paused()
 def ingest_tables(directory: str | Path) -> DictionaryStore:
     """Load the seven TSV tables from `directory` and verify integrity.
 
@@ -321,7 +321,7 @@ def save_snapshot(store: DictionaryStore, path: str | Path) -> None:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
 
 
-@_collector_paused()
+@collector_paused()
 def load_snapshot(path: str | Path) -> DictionaryStore:
     """Load a save_snapshot file with the row checks of ingest_tables."""
     path = Path(path)

@@ -21,13 +21,18 @@ answer is not ready to encode by then is answered 503, and a body
 declared longer than MAX_BODY_BYTES is answered 413 before any of it is
 read. Any body but a POST /sparql one sized by Content-Length closes
 its connection unread. A connection beyond MAX_CONNECTIONS open at once
-is answered 503 without a thread. Every response after which the server
-closes the connection says `Connection: close`. A client that resets or
-drops its connection is let go without a log line.
+is answered 503 without a thread. Each response, head and body, goes
+out in one write. Every response after which the server closes the
+connection says `Connection: close`. A client that resets or drops its
+connection is let go without a log line.
 
-The client functions keep one keep-alive connection per thread and
-replay a request once on a fresh connection when a reused one turns out
-to have been closed by the server; every route is read-only.
+The client functions keep one keep-alive socket per thread and send
+each request, head and body, in one write. They replay a request once
+on a fresh connection when a reused one turns out to have been closed by
+the server; every route is read-only. They read only what the service
+sends: an HTTP/1.x response of at most 100 header lines of at most
+64 KiB, its body framed by Content-Length. Any other response closes
+the connection and raises ClientTransportError.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ import contextlib
 import io
 import json
 import logging
+import re
 import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDisconnected
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import urlencode, urlparse, urlsplit, parse_qs
@@ -141,8 +147,8 @@ class _RequestReads(socket.SocketIO):
 class _Handler(BaseHTTPRequestHandler):
     # store, triples and config live on the server object
     protocol_version = "HTTP/1.1"
-    # headers and body go out in two sends; with Nagle's algorithm the body
-    # waits for the client's delayed ACK on a keep-alive connection
+    # an answer goes out in one write; with Nagle's algorithm, one longer
+    # than a TCP segment would hold its last segment for the client's ACK
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -222,8 +228,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.extend((b"\r\n", body))  # head and body in one write
+        self.flush_headers()
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -326,7 +332,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"query is not UTF-8: {exc}")
 
     def log_message(self, format: str, *args) -> None:  # quiet by default
-        logger.debug("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s - %s", self.address_string(), format % args)
 
 
 class _Server(ThreadingHTTPServer):
@@ -430,53 +437,131 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
     return ServiceHandle(server, thread)
 
 
+_MAX_LINE = 65536  # the longest status or header line, its end included, as in http.client
+_MAX_HEADERS = 100  # the most header lines a response may carry
+_BODY_PART = 1 << 20  # a body is read in parts of at most this, whatever its declared length
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: ([^\r\n]*))?\r?\n")
+_URL = re.compile(r"[!-~]+")  # what a URL may hold to go into a request line and Host as it is
+_PORTS = {"http": 80, "https": 443}
+
+
+class _Disconnected(ConnectionError):
+    """The server closed the connection before a status line."""
+
+
+class _BadResponse(Exception):
+    """A response whose framing the client does not accept."""
+
+
+def _request(origin: tuple[str, str, Optional[int]], target: str, body: Optional[bytes]) -> bytes:
+    """A GET of `target`, or a POST of `body` to it, head and body as one
+    write. Host has an IPv6 literal in brackets, and the URL's port if it
+    names one."""
+    _, host, port = origin
+    host = f"[{host}]" if ":" in host else host
+    head = f"{'GET' if body is None else 'POST'} {target} HTTP/1.1\r\nHost: {host}"
+    head += "\r\n" if port is None else f":{port}\r\n"
+    if body is None:
+        return f"{head}\r\n".encode("ascii")
+    return (
+        f"{head}Content-Type: text/plain; charset=utf-8\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+
+
 class _KeepAlive:
-    """One thread's connection, to one origin at a time. It is closed when
+    """One thread's connection, to one origin at a time: a socket and a
+    reader of its responses, kept from connect to close. It is closed when
     the thread ends and drops it."""
 
-    conn: Optional[HTTPConnection] = None
     origin: Optional[tuple[str, str, Optional[int]]] = None
+    timeout: Optional[float] = None
+    sock: Optional[socket.socket] = None
+    reader: Optional[io.BufferedReader] = None
+
+    def connect(self) -> None:
+        scheme, hostname, port = self.origin
+        sock = socket.create_connection((hostname, port or _PORTS[scheme]), self.timeout)
+        try:
+            # as http.client does: a POST longer than a segment would hold its last one
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=hostname)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = self.reader = None
 
     def __del__(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
+        self.close()
 
 
 _local = threading.local()  # keep_alive: this thread's _KeepAlive
-# what a server's close of an idle keep-alive connection looks like to the next request
-_STALE = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
-def _connection(origin: tuple[str, str, Optional[int]], timeout: float) -> tuple[HTTPConnection, bool]:
+def _connection(origin: tuple[str, str, Optional[int]], timeout: float) -> tuple[_KeepAlive, bool]:
     """This thread's connection to `origin`, and whether its socket is
     already open. A connection to another origin is closed first."""
     held = getattr(_local, "keep_alive", None)
     if held is None:
         held = _local.keep_alive = _KeepAlive()
-    if held.conn is None or held.origin != origin:
-        if held.conn is not None:
-            held.conn.close()
-        scheme, host, port = origin
-        held.conn = (HTTPSConnection if scheme == "https" else HTTPConnection)(host, port)
+    if held.origin != origin:
+        held.close()
         held.origin = origin
-    conn = held.conn
-    conn.timeout = timeout  # a fresh socket takes it at connect
-    if conn.sock is None:
-        return conn, False
-    conn.sock.settimeout(timeout)
-    return conn, True
+    held.timeout = timeout  # a fresh socket takes it at connect
+    if held.sock is None:
+        return held, False
+    held.sock.settimeout(timeout)
+    return held, True
 
 
-def _exchange(conn: HTTPConnection, target: str, body: Optional[bytes]) -> tuple[int, str, bytes]:
-    """One request and its whole response body, so that the connection
-    can carry the next; a failure leaves the connection closed."""
+def _exchange(conn: _KeepAlive, target: str, body: Optional[bytes]) -> tuple[int, str, bytes]:
+    """One request, sent in one write, and its whole response body, so
+    that the connection can carry the next; a failure leaves the
+    connection closed. Only a body framed by Content-Length is read."""
     try:
-        if body is None:
-            conn.request("GET", target)
+        if conn.sock is None:
+            conn.connect()
+        conn.sock.sendall(_request(conn.origin, target, body))
+        reader = conn.reader
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise _Disconnected("the connection closed before a status line")
+        status = _STATUS_LINE.fullmatch(line)
+        if status is None:
+            raise _BadResponse(f"malformed status line {line[:80]!r}")
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = reader.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                raise _BadResponse(f"a header line is longer than {_MAX_LINE} bytes")
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
         else:
-            conn.request("POST", target, body, {"Content-Type": "text/plain; charset=utf-8"})
-        with conn.getresponse() as resp:
-            return resp.status, resp.reason, resp.read()
+            raise _BadResponse(f"more than {_MAX_HEADERS} header lines")
+        if b"transfer-encoding" in headers:
+            raise _BadResponse("a body framed by Transfer-Encoding, not Content-Length")
+        length = headers.get(b"content-length", b"")
+        if not length.isdigit() or len(length) > 18:
+            raise _BadResponse(f"missing or invalid Content-Length {length[:80]!r}")
+        left, parts = int(length), []
+        while left:
+            part = reader.read(min(left, _BODY_PART))
+            if not part:
+                raise _BadResponse(f"the body ended {left} bytes short of its Content-Length")
+            parts.append(part)
+            left -= len(part)
+        # an HTTP/1.0 server closes the connection unless asked not to
+        if status[1] == b"0" or b"close" in headers.get(b"connection", b"").lower():
+            conn.close()
+        return int(status[2]), (status[3] or b"").decode("latin-1"), b"".join(parts)
     except BaseException:
         conn.close()
         raise
@@ -489,19 +574,21 @@ def _request_json(url: str, timeout_ms: int, body: Optional[bytes] = None) -> di
         origin = (parts.scheme, parts.hostname, parts.port)
     except ValueError as exc:  # a port that is not a number
         raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ClientTransportError(f"cannot reach {url}: not an http or https URL")
+    if parts.scheme not in _PORTS or not parts.hostname or not _URL.fullmatch(url):
+        raise ClientTransportError(f"cannot reach {url}: not an http or https URL of visible ASCII")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     for attempt in (1, 2):
         conn, reused = _connection(origin, timeout_ms / 1000.0)
         try:
             status, reason, data = _exchange(conn, target, body)
             break
-        except _STALE as exc:
+        except ConnectionError as exc:  # what a server's close of an idle connection looks like
             if not reused or attempt == 2:
                 raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
-        except (OSError, HTTPException) as exc:
+        except (OSError, UnicodeError) as exc:  # UnicodeError: a host name IDNA cannot encode
             raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
+        except _BadResponse as exc:
+            raise ClientTransportError(f"bad response from {url}: {exc}") from exc
     if status != 200:
         detail = ""
         try:

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import signal
@@ -368,3 +369,47 @@ def test_serve_subprocess_graceful_shutdown():
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+def test_serve_freezes_the_store_it_loads_with_the_collector_paused(monkeypatch):
+    from types import SimpleNamespace
+
+    from lexalign import cli, dictstore, lexiserve
+
+    seen = {}
+    open_store, serve = dictstore.open_store, lexiserve.serve
+
+    def opening(path):
+        seen["load"] = gc.isenabled()
+        seen["store"] = open_store(path)
+        return seen["store"]
+
+    def serving(config, store):
+        seen["serve"] = gc.isenabled()
+        seen["handle"] = serve(config, store)
+        return seen["handle"]
+
+    class Stopped:
+        """What serve waits on: a stop already asked for."""
+
+        def set(self):
+            pass
+
+        def wait(self):
+            seen["serving"] = gc.isenabled()
+            built = (seen["store"].ids["page"], seen["handle"]._server.triples)
+            held = {id(o) for o in gc.get_objects()}  # frozen objects are not listed
+            seen["walked"] = [(gc.is_tracked(o), id(o) in held) for o in built]
+
+    monkeypatch.setattr(dictstore, "open_store", opening)
+    monkeypatch.setattr(lexiserve, "serve", serving)
+    monkeypatch.setattr(cli, "threading", SimpleNamespace(Event=Stopped))
+    monkeypatch.setattr(cli, "signal", SimpleNamespace(signal=lambda *_: None, SIGINT=0, SIGTERM=0))
+    assert gc.isenabled()
+    try:
+        assert main(["serve", str(FIXTURES / "idioms_dict"), "--bind", "127.0.0.1:0"]) == 0
+    finally:
+        gc.unfreeze()
+    assert (seen["load"], seen["serve"], seen["serving"]) == (False, False, True)
+    assert seen["walked"] == [(True, False), (True, False)]
+    assert gc.isenabled()

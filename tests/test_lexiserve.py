@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import re
 import select
 import socket
 import struct
@@ -616,14 +617,14 @@ def test_two_threads_look_up_concurrently(biblio_service, biblio_store):
 
 def test_switching_endpoints_closes_the_old_connection(idioms_service, biblio_service):
     client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
-    old = lexiserve._local.keep_alive.conn
-    assert old.sock is not None
+    old = lexiserve._local.keep_alive.sock
+    assert old.fileno() != -1
     assert client_reverse_translate(biblio_service.endpoint, "université", "fr", "en") == [
         "school",
         "university",
     ]
-    assert old.sock is None
-    assert lexiserve._local.keep_alive.conn is not old
+    assert old.fileno() == -1
+    assert lexiserve._local.keep_alive.sock is not old
 
 
 def test_a_thread_that_ends_closes_its_connection(idioms_service):
@@ -631,14 +632,14 @@ def test_a_thread_that_ends_closes_its_connection(idioms_service):
 
     def lookup():
         client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
-        conns.append(lexiserve._local.keep_alive.conn)
-        assert conns[0].sock is not None
+        conns.append(lexiserve._local.keep_alive.sock)
+        assert conns[0].fileno() != -1
 
     thread = threading.Thread(target=lookup)
     thread.start()
     thread.join(timeout=5)
     assert not thread.is_alive()
-    assert len(conns) == 1 and conns[0].sock is None
+    assert len(conns) == 1 and conns[0].fileno() == -1
 
 
 def test_a_closed_service_answers_no_kept_connection(biblio_store):
@@ -782,3 +783,198 @@ def test_service_config_validation():
         ServiceConfig(max_query_patterns=0)
     with pytest.raises(ServiceError):
         ServiceConfig(request_timeout_ms=0)
+
+
+def test_request_log_line_is_built_only_at_debug(monkeypatch, idioms_service, caplog):
+    built = []
+    address_string = lexiserve._Handler.address_string
+
+    def counting(self):
+        built.append(1)
+        return address_string(self)
+
+    monkeypatch.setattr(lexiserve._Handler, "address_string", counting)
+    with caplog.at_level(logging.INFO, logger="lexalign.lexiserve"):
+        client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
+    assert built == []
+    with caplog.at_level(logging.DEBUG, logger="lexalign.lexiserve"):
+        client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
+    lines = [r.getMessage() for r in caplog.records if r.name == "lexalign.lexiserve"]
+    assert built == [1]
+    assert any('"GET /translate?word=rain+cats+and+dogs&from=en&to=fr HTTP/1.1" 200' in m for m in lines)
+
+
+def test_each_answer_is_one_write(monkeypatch, idioms_service):
+    writes = []
+    setup = lexiserve._Handler.setup
+
+    def recording(self):
+        setup(self)
+        write = self.wfile.write
+        self.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
+
+    monkeypatch.setattr(lexiserve._Handler, "setup", recording)
+    conn = http.client.HTTPConnection(idioms_service.host, idioms_service.port, timeout=5)
+    try:
+        conn.request("GET", "/translate?word=rain+cats+and+dogs&from=en&to=fr")
+        first = conn.getresponse().read()
+        conn.request("POST", "/sparql", _LANG_QUERY)
+        second = conn.getresponse().read()
+    finally:
+        conn.close()
+    assert [w.partition(b"\r\n\r\n")[2] for w in writes] == [first, second]
+    assert [w.split(b" ", 2)[1] for w in writes] == [b"200", b"200"]
+
+
+class _RawServer:
+    """A server of raw bytes for the client to meet. A request under /bad/
+    is answered with `reply`, after which the connection is closed if
+    `close` is set; any other request with a 200 that suits every client
+    function. It counts the connections it accepts and keeps each request
+    as it arrived."""
+
+    BODY = b'{"translations": [], "head": {"vars": []}, "rows": []}'
+    GOOD = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(BODY), BODY)
+
+    def __init__(self, reply=b"", close=False, host="127.0.0.1"):
+        self.reply, self.close = reply, close
+        self.accepted = 0
+        self.requests = []
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, 0), family=family)
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self.endpoint = f"http://[{host}]:{self.port}" if ":" in host else f"http://{host}:{self.port}"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            sock.settimeout(5)
+            threading.Thread(target=self._answer, args=(sock,), daemon=True).start()
+
+    def _answer(self, sock):
+        with sock, sock.makefile("rb") as reader:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = reader.readline()
+                    if not line:
+                        return
+                    head += line
+                length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+                self.requests.append(head + (reader.read(int(length[1])) if length else b""))
+                bad = head.split(b" ", 2)[1].startswith(b"/bad/")
+                sock.sendall(self.reply if bad else self.GOOD)
+                if bad and self.close:
+                    return
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+_OK = b"HTTP/1.1 200 OK\r\n"
+
+
+@pytest.mark.parametrize(
+    "reply, close, error",
+    [
+        pytest.param(b"", True, ClientTransportError, id="no-status-line"),
+        pytest.param(b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", False, ClientTransportError, id="garbled-status"),
+        pytest.param(b"SSH-2.0-OpenSSH_9.6\r\n", False, ClientTransportError, id="not-http"),
+        pytest.param(_OK + b"X-A: b\r\n" * 100 + b"Content-Length: 2\r\n\r\n{}", False, ClientTransportError, id="101-headers"),
+        pytest.param(_OK + b"X-A: " + b"b" * 65536 + b"\r\nContent-Length: 2\r\n\r\n{}", False, ClientTransportError, id="long-header"),
+        pytest.param(_OK + b"\r\n{}", False, ClientTransportError, id="no-content-length"),
+        pytest.param(_OK + b"Content-Length: 2x\r\n\r\n{}", False, ClientTransportError, id="non-numeric-length"),
+        pytest.param(_OK + b"Content-Length: -2\r\n\r\n{}", False, ClientTransportError, id="negative-length"),
+        pytest.param(_OK + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", False, ClientTransportError, id="chunked"),
+        pytest.param(_OK + b"Content-Length: 100\r\n\r\n{}", True, ClientTransportError, id="short-body"),
+        pytest.param(_OK + b"Content-Length: 99999999999999\r\n\r\n{}", True, ClientTransportError, id="huge-length"),
+        pytest.param(_OK + b"Content-Length: 8\r\n\r\nnot json", False, ClientPayloadError, id="not-json"),
+    ],
+)
+def test_client_meets_a_hostile_server_with_an_error_and_recovers(reply, close, error, caplog, capsys):
+    with _RawServer(reply, close) as server:
+        assert client_translate(server.endpoint, "w", "en", "fr") == []
+        start = time.monotonic()
+        with pytest.raises(error):
+            client_translate(server.endpoint + "/bad", "w", "en", "fr", timeout_ms=2000)
+        assert time.monotonic() - start < 1.0  # no wait for the timeout
+        accepted = server.accepted
+        assert client_translate(server.endpoint, "w", "en", "fr") == []
+        # a framing fault leaves the connection closed, so the next request reconnects
+        assert server.accepted == accepted + (error is ClientTransportError)
+    assert not caplog.records
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_client_takes_100_header_lines_and_a_64_kib_line():
+    most = _OK + b"X-A: " + b"b" * (65536 - 7) + b"\r\n" + b"X-B: c\r\n" * 98 + b"Content-Length: 2\r\n\r\n{}"
+    with _RawServer(most) as server:
+        with pytest.raises(ClientPayloadError, match="field 'translations'"):
+            client_translate(server.endpoint + "/bad", "w", "en", "fr")
+        assert client_translate(server.endpoint, "w", "en", "fr") == []
+        assert server.accepted == 1
+
+
+def test_client_sends_each_request_in_one_write(monkeypatch):
+    sent = []
+    sendall = socket.socket.sendall
+    me = threading.get_ident()
+
+    def recording(self, data, *args):
+        if threading.get_ident() == me:
+            sent.append(bytes(data))
+        return sendall(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    with _RawServer() as server:
+        assert client_translate(server.endpoint, "w", "en", "fr") == []
+        assert client_sparql(server.endpoint, "SELECT ?a WHERE { ?a ?b ?c . }") == ([], [])
+    assert sent == server.requests
+    assert sent[0].startswith(b"GET /translate?word=w&from=en&to=fr HTTP/1.1\r\n")
+    assert sent[1].startswith(b"POST /sparql HTTP/1.1\r\n")
+    assert sent[1].endswith(b"\r\n\r\nSELECT ?a WHERE { ?a ?b ?c . }")
+
+
+def test_https_to_a_plain_http_service_is_transport_error(idioms_store):
+    with serve(ServiceConfig(request_timeout_ms=300), idioms_store) as handle:
+        with pytest.raises(ClientTransportError):
+            client_translate(f"https://{handle.host}:{handle.port}", "w", "en", "fr", timeout_ms=2000)
+
+
+def _ipv6_loopback() -> bool:
+    try:
+        with socket.create_server(("::1", 0), family=socket.AF_INET6):
+            return True
+    except OSError:
+        return False
+
+
+def test_an_ipv6_literal_is_bracketed_in_host():
+    if not _ipv6_loopback():  # no ::1 to serve on: check the header the request would carry
+        assert b"\r\nHost: [::1]:8080\r\n" in lexiserve._request(("http", "::1", 8080), "/stats", None)
+        return
+    with _RawServer(host="::1") as server:
+        assert client_translate(server.endpoint, "w", "en", "fr") == []
+    assert b"\r\nHost: [::1]:%d\r\n" % server.port in server.requests[0]
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["ftp://127.0.0.1:1", "http://127.0.0.1:1/a b", "http://127.0.0.1:1/é", "http://" + "a" * 64 + ".example:1"],
+)
+def test_an_endpoint_the_client_cannot_use_is_transport_error(endpoint):
+    with pytest.raises(ClientTransportError):
+        client_translate(endpoint, "w", "en", "fr", timeout_ms=500)
