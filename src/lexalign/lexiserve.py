@@ -7,49 +7,49 @@ Endpoints:
     POST /sparql           (body: query text, content-type text/plain)
     GET  /stats
 
-Responses are JSON. Every error comes back as {"error": message} with a
-4xx or 5xx status, also one that http.server itself detects: a request
-line or headers that do not parse or are too long, or an unknown
-method; its status line is written even when the request line does not
-parse. An HTTP/0.9 request, which http.server would answer without a
-status line, is answered 400. The store is immutable shared state, so
-concurrent requests are safe. A pattern-count cap and a request timeout
-guard the endpoint against oversized queries. The timeout is one deadline from a
-request's first byte over all its reads: a request line, headers or
-body not wholly received when it passes is answered 408, a query whose
-answer is not ready to encode by then is answered 503, and a body
-declared longer than MAX_BODY_BYTES is answered 413 before any of it is
-read. Any body but a POST /sparql one sized by Content-Length closes
-its connection unread. A connection beyond MAX_CONNECTIONS open at once
-is answered 503 without a thread. Each response, head and body, goes
-out in one write. Every response after which the server closes the
-connection says `Connection: close`. A client that resets or drops its
-connection is let go without a log line.
+Service and client read message heads through one function: a first
+line, at most 100 header lines of at most 64 KiB each, and a body sized
+by one valid Content-Length (RFC 9112 §6). The service answers any other
+request head 414, 431 or 400, and the client raises ClientTransportError
+on any other response.
+
+Responses are JSON; every error comes back as {"error": message} with
+its status, an unknown method (501) or version (505) too. The store is
+immutable shared state, so concurrent requests are safe. A
+pattern-count cap and a request timeout guard the endpoint against
+oversized queries. The timeout is one deadline from a request's first
+byte over all its reads: a request not wholly received when it passes
+is answered 408, a query whose answer is not ready to encode by then
+503, and a body declared longer than MAX_BODY_BYTES 413 before any of
+it is read. Any body but a POST /sparql one closes its connection
+unread. A connection beyond MAX_CONNECTIONS open at once is answered
+503 without a thread. Each response, head and body, goes out in one
+write. The connection closes after an HTTP/1.0 request, a request that
+asks for it and a request whose framing is refused, and the answer says
+`Connection: close`. A client that resets or drops its connection is
+let go without a log line.
 
 The client functions keep one keep-alive socket per thread and send
 each request, head and body, in one write. They replay a request once
 on a fresh connection when a reused one turns out to have been closed by
-the server; every route is read-only. They read only what the service
-sends: an HTTP/1.x response of at most 100 header lines of at most
-64 KiB, its body framed by Content-Length. Any other response closes
-the connection and raises ClientTransportError.
+the server; every route is read-only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import logging
 import re
 import socket
+import socketserver
 import ssl
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Optional
-from urllib.parse import urlencode, urlparse, urlsplit, parse_qs
+from urllib.parse import SplitResult, urlencode, urlsplit, parse_qs
 
 from .dictstore import DictionaryStore, DictionaryError
 from .errors import LexalignError
@@ -105,6 +105,61 @@ class ServiceConfig:
             raise ServiceError("request_timeout_ms must be positive")
 
 
+_MAX_LINE = 65536  # the longest first or header line, its end included, as in http.client
+_MAX_HEADERS = 100  # the most header lines a message may carry
+_REQUEST_LINE = re.compile(rb"([!-~]+) ([!-~]+) HTTP/([0-9])\.([0-9])\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: ([^\r\n]*))?\r?\n")
+
+
+class _BadMessage(Exception):
+    """A message whose framing is refused; a service answers it with
+    `status` and closes the connection."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_head(
+    reader: io.BufferedReader, first_line: re.Pattern
+) -> tuple[re.Match, dict[bytes, bytes], Optional[int]]:
+    """Read a message head: a first line that `first_line` matches whole,
+    at most _MAX_HEADERS header lines of at most _MAX_LINE bytes, and the
+    blank line that ends them. Returns the first line's match, the header
+    values by lowercased name, and the body's Content-Length, None if it
+    has none. A body framed any other way is refused."""
+    line = reader.readline(_MAX_LINE + 1)
+    if not line:  # how a close of an idle connection looks; the client replays on it
+        raise ConnectionError("the connection closed before a message")
+    if len(line) > _MAX_LINE:
+        raise _BadMessage(f"the first line is longer than {_MAX_LINE} bytes", 414)
+    match = first_line.fullmatch(line)
+    if match is None:
+        raise _BadMessage(f"malformed first line {line[:80]!r}")
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            break
+        if len(line) > _MAX_LINE:
+            raise _BadMessage(f"a header line is longer than {_MAX_LINE} bytes", 431)
+        if not line:
+            raise _BadMessage("the connection closed inside a message head")
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length" and name in headers:
+            raise _BadMessage("a repeated Content-Length")  # RFC 9112 §6.3
+        headers[name] = value.strip()
+    else:
+        raise _BadMessage(f"more than {_MAX_HEADERS} header lines", 431)
+    if b"transfer-encoding" in headers:
+        raise _BadMessage("a body framed by Transfer-Encoding, not Content-Length")
+    length = headers.get(b"content-length")
+    if length is not None and (not length.isdigit() or len(length) > 18):
+        raise _BadMessage(f"Content-Length must be a non-negative integer, not {length[:80]!r}")
+    return match, headers, None if length is None else int(length)
+
+
 class _RequestTimeout(Exception):
     """A request was still arriving at its deadline."""
 
@@ -144,199 +199,177 @@ class _RequestReads(socket.SocketIO):
             raise _RequestTimeout from None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # store, triples and config live on the server object
-    protocol_version = "HTTP/1.1"
-    # an answer goes out in one write; with Nagle's algorithm, one longer
-    # than a TCP segment would hold its last segment for the client's ACK
-    disable_nagle_algorithm = True
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _response(status: int, payload: dict, close: bool) -> bytes:
+    """An answer, head and body, to go out in one write: the JSON payload
+    with its length, the Date (RFC 9110 §6.6.1) and, when the connection
+    closes after it, `Connection: close`."""
+    body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    t = time.gmtime()
+    connection = "Connection: close\r\n" if close else ""
+    return (
+        f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+        f"Date: {_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+        f"{t.tm_hour:02}:{t.tm_min:02}:{t.tm_sec:02} GMT\r\n"
+        f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(body)}\r\n"
+        f"{connection}\r\n"
+    ).encode("ascii") + body
+
+
+_GET_PARAMETERS = {  # the query parameters each GET route requires
+    "/translate": ("word", "from", "to"),
+    "/reverse": ("term", "term_lang", "entry_lang"),
+    "/stats": (),
+}
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: its requests, each read and answered in turn. The
+    store, its triples and the config live on the server."""
 
     def setup(self) -> None:
-        self.timeout = self.server.config.request_timeout_ms / 1000.0
-        super().setup()
+        sock = self.request
+        sock.settimeout(self.server.config.request_timeout_ms / 1000.0)
+        # an answer goes out in one write; with Nagle's algorithm, one longer
+        # than a TCP segment would hold its last segment for the client's ACK
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reads = _RequestReads(sock)
+        self.rfile = io.BufferedReader(self.reads)
+
+    def finish(self) -> None:
         self.rfile.close()
-        self._reads = _RequestReads(self.connection)
-        self.rfile = io.BufferedReader(self._reads)
 
-    def handle_one_request(self) -> None:
-        """Wait for a request's first byte under the read timeout, as an
+    def handle(self) -> None:
+        """Wait for each request's first byte under the read timeout, as an
         idle kept-alive connection does; from that byte until its answer
-        starts, the request has the request timeout in all. This is where a
-        request ends abnormally: a client that resets or drops the
-        connection is let go without a log line, a request still arriving
-        at its deadline is answered 408, and any other failure 500."""
-        try:
-            if not self.rfile.peek(1):
-                self.close_connection = True
+        starts, the request has the request timeout in all. A client that
+        resets or drops the connection is let go without a log line, a
+        request still arriving at its deadline is answered 408, and any
+        other failure 500. Once the service is closed, a request on a
+        kept-alive connection gets no answer; the connection closes and
+        the client reconnects."""
+        server = self.server
+        close = False
+        while not close:
+            line = b""
+            try:
+                if not self.rfile.peek(1) or server.closing:
+                    return
+                deadline = time.monotonic() + server.config.request_timeout_ms / 1000.0
+                self.reads.start(deadline)
+                head, headers, length = _read_head(self.rfile, _REQUEST_LINE)
+                line = head[0].rstrip()
+                status, payload, close = self._answer(head, headers, length or 0, deadline)
+            except (TimeoutError, ConnectionError):  # an idle wait ran out, or the client left
                 return
-            self.request_deadline = time.monotonic() + self.timeout
-            self._reads.start(self.request_deadline)
-            super().handle_one_request()
-        except (TimeoutError, ConnectionError):  # an idle wait ran out, or the client left
-            self.close_connection = True
-        except Exception as exc:
-            if isinstance(exc, _RequestTimeout):
-                self.requestline = ""  # the request line may be unread
-                ms = self.server.config.request_timeout_ms
-                status, message = 408, f"request not received within {ms} ms"
-            else:
+            except _BadMessage as exc:
+                status, payload, close = exc.status, {"error": str(exc)}, True
+            except _RequestTimeout:
+                ms = server.config.request_timeout_ms
+                status, payload, close = 408, {"error": f"request not received within {ms} ms"}, True
+            except Exception as exc:
                 logger.exception("request failed")
-                status, message = 500, str(exc)
-            with contextlib.suppress(ConnectionError):  # the client may be gone by now
-                self.send_error(status, message)
+                status, payload, close = 500, {"error": str(exc)}, True
+            self.reads.end()  # the answer's write waits for the socket's own timeout
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug('%s - "%s" %d', self.client_address[0], line.decode("latin-1"), status)
+            try:
+                self.request.sendall(_response(status, payload, close))
+            except (TimeoutError, ConnectionError):  # the client is gone
+                return
 
-    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None) -> None:
-        """Answer {"error": message} and close the connection. Beside the
-        two failures above, http.server calls this for a request line or
-        headers it refuses (unparsable, too long, HTTP/2) and for an
-        unknown method; the request line may be unparsed, so the answer
-        has a status line whatever version the request named."""
-        self.close_connection = True
-        self.request_version = ""  # not HTTP/0.9, which would drop the status line
-        self._error(code, message or self.responses[code][0])
+    def _answer(
+        self, head: re.Match, headers: dict[bytes, bytes], length: int, deadline: float
+    ) -> tuple[int, dict, bool]:
+        """The status and payload that answer a request, and whether the
+        connection closes after them. Only a POST /sparql body is read;
+        any other, left unread, would be taken for the next request. An
+        HTTP/1.1 client that expects 100-continue is sent `100 Continue`
+        once its body's length is accepted."""
+        method, target, major, minor = head.groups()
+        if major != b"1":
+            version = f"HTTP/{major.decode()}.{minor.decode()}"
+            raise _BadMessage(f"{version} is not served", 400 if major == b"0" else 505)
+        try:
+            url = urlsplit(target.decode("latin-1"))
+        except ValueError as exc:  # such as an unclosed IPv6 bracket in an absolute URL
+            raise _BadMessage(f"malformed request target: {exc}") from None
+        sparql = (method, url.path) == (b"POST", "/sparql")
+        close = minor == b"0" or b"close" in headers.get(b"connection", b"").lower()
+        if sparql:
+            if length > MAX_BODY_BYTES:  # the body stays unread
+                raise _BadMessage(f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}", 413)
+            if minor != b"0" and headers.get(b"expect", b"").lower() == b"100-continue":
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = self.rfile.read(length)  # short if the client closes mid-body
+            return (*self._sparql(body, deadline), close)
+        close = close or length > 0
+        if method == b"GET":
+            return (*self._get(url), close)
+        if method == b"POST":
+            return 404, {"error": f"no such endpoint: {url.path}"}, close
+        raise _BadMessage(f"unsupported method {method.decode('latin-1')!r}", 501)
 
-    def parse_request(self) -> bool:
-        # once the service is closed, a request on a kept-alive connection
-        # gets no answer; the connection closes and the client reconnects
-        if self.server.closing:
-            self.close_connection = True
-            return False
-        if not super().parse_request():
-            return False
-        # http.server takes a line with no version (`GET /x`) as HTTP/0.9,
-        # whose answer has no status line and no headers
-        if self.request_version == "HTTP/0.9":
-            self.send_error(400, f"HTTP/0.9 is not served: {self.requestline!r}")
-            return False
-        # only a POST /sparql body sized by Content-Length is read; any
-        # other body, left unread, would be parsed as the next request
-        if "Transfer-Encoding" in self.headers or (
-            self.headers.get("Content-Length", "0") != "0"
-            and (self.command, urlparse(self.path).path) != ("POST", "/sparql")
-        ):
-            self.close_connection = True
-        return True
-
-    def send_response(self, code: int, message: Optional[str] = None) -> None:
-        self._reads.end()  # the answer's writes wait for the socket's own timeout
-        super().send_response(code, message)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self._headers_buffer.extend((b"\r\n", body))  # head and body in one write
-        self.flush_headers()
-
-    def _error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _query_params(self, required: tuple[str, ...]) -> dict[str, str] | None:
-        parsed = urlparse(self.path)
-        params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
+    def _get(self, url: SplitResult) -> tuple[int, dict]:
+        required = _GET_PARAMETERS.get(url.path)
+        if required is None:
+            return 404, {"error": f"no such endpoint: {url.path}"}
+        params = {k: v[0] for k, v in parse_qs(url.query).items()}
         missing = [name for name in required if name not in params]
         if missing:
-            self._error(400, f"missing query parameter(s): {', '.join(missing)}")
-            return None
-        return params
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        route = urlparse(self.path).path
+            return 400, {"error": f"missing query parameter(s): {', '.join(missing)}"}
+        store = self.server.store
         try:
-            if route == "/translate":
-                params = self._query_params(("word", "from", "to"))
-                if params is None:
-                    return
-                words = self.server.store.translations(
-                    params["word"], params["from"], params["to"]
-                )
-                self._send_json(
-                    200,
-                    {
-                        "word": params["word"],
-                        "from": params["from"],
-                        "to": params["to"],
-                        "translations": words,
-                        "source": "dictionary",
-                    },
-                )
-            elif route == "/reverse":
-                params = self._query_params(("term", "term_lang", "entry_lang"))
-                if params is None:
-                    return
-                headwords = self.server.store.reverse_translations(
+            if url.path == "/translate":
+                words = store.translations(params["word"], params["from"], params["to"])
+                return 200, {
+                    "word": params["word"],
+                    "from": params["from"],
+                    "to": params["to"],
+                    "translations": words,
+                    "source": "dictionary",
+                }
+            if url.path == "/reverse":
+                headwords = store.reverse_translations(
                     params["term"], params["term_lang"], params["entry_lang"]
                 )
-                self._send_json(200, {"term": params["term"], "headwords": headwords})
-            elif route == "/stats":
-                stats = self.server.store.stats()
-                self._send_json(
-                    200,
-                    {
-                        "entry_count": stats.entry_count,
-                        "entries_by_language": stats.entries_by_language,
-                        "translation_entry_count": stats.translation_entry_count,
-                        "translation_pairs": {
-                            f"{src}->{tgt}": n
-                            for (src, tgt), n in sorted(stats.translation_pairs.items())
-                        },
-                    },
-                )
-            else:
-                self._error(404, f"no such endpoint: {route}")
+                return 200, {"term": params["term"], "headwords": headwords}
         except DictionaryError as exc:
-            self._error(400, str(exc))
+            return 400, {"error": str(exc)}
+        stats = store.stats()
+        return 200, {
+            "entry_count": stats.entry_count,
+            "entries_by_language": stats.entries_by_language,
+            "translation_entry_count": stats.translation_entry_count,
+            "translation_pairs": {
+                f"{src}->{tgt}": n for (src, tgt), n in sorted(stats.translation_pairs.items())
+            },
+        }
 
-    def do_POST(self) -> None:  # noqa: N802
-        deadline = self.request_deadline
-        route = urlparse(self.path).path
-        if route != "/sparql":
-            self._error(404, f"no such endpoint: {route}")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self.close_connection = True  # the body's extent is unknown
-            self._error(400, "Content-Length must be a non-negative integer")
-            return
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # the body stays unread
-            self._error(413, f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}")
-            return
-        body = self.rfile.read(length)  # short if the client closes mid-body
+    def _sparql(self, body: bytes, deadline: float) -> tuple[int, dict]:
+        limit = self.server.config.max_query_patterns
         try:
             query = parse_query(body.decode("utf-8"))
-            if len(query.patterns) > self.server.config.max_query_patterns:
-                self._error(
-                    400,
-                    f"query has {len(query.patterns)} patterns, limit is "
-                    f"{self.server.config.max_query_patterns}",
-                )
-                return
+            if len(query.patterns) > limit:
+                return 400, {"error": f"query has {len(query.patterns)} patterns, limit is {limit}"}
             result = evaluate(query, self.server.triples, deadline=deadline)
             if time.monotonic() > deadline:  # sorting a large answer can take the rest
                 raise QueryTimeout("query answer passed its deadline")
-            self._send_json(200, {"head": {"vars": result.header}, "rows": [list(r) for r in result.rows]})
         except QueryParseError as exc:
-            self._error(400, str(exc))
+            return 400, {"error": str(exc)}
         except QueryTimeout:
-            self._error(
-                503, f"query not answered within {self.server.config.request_timeout_ms} ms"
-            )
+            return 503, {"error": f"query not answered within {self.server.config.request_timeout_ms} ms"}
         except UnicodeDecodeError as exc:
-            self._error(400, f"query is not UTF-8: {exc}")
-
-    def log_message(self, format: str, *args) -> None:  # quiet by default
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("%s - %s", self.address_string(), format % args)
+            return 400, {"error": f"query is not UTF-8: {exc}"}
+        return 200, {"head": {"vars": result.header}, "rows": [list(r) for r in result.rows]}
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     closing = False
 
@@ -366,17 +399,10 @@ class _Server(ThreadingHTTPServer):
     def _refuse(self, request) -> None:
         """Answer 503 and close, from the serving thread, which must not
         block: the reply fits an empty send buffer."""
-        body = json.dumps(
-            {"error": f"the service holds its limit of {MAX_CONNECTIONS} connections"}
-        ).encode("utf-8")
-        head = (
-            "HTTP/1.1 503 Service Unavailable\r\n"
-            "Content-Type: application/json; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-        )
+        message = f"the service holds its limit of {MAX_CONNECTIONS} connections"
         request.setblocking(False)
         try:
-            request.sendall(head.encode("ascii") + body)
+            request.sendall(_response(503, {"error": message}, True))
             # read what the request sent so far: closing with unread
             # data resets the connection, and the reply may be lost
             request.recv(1 << 16)
@@ -385,7 +411,7 @@ class _Server(ThreadingHTTPServer):
         self.shutdown_request(request)
 
     def server_close(self) -> None:
-        self.closing = True  # see _Handler.parse_request
+        self.closing = True  # see _Handler.handle
         super().server_close()
 
 
@@ -437,20 +463,9 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
     return ServiceHandle(server, thread)
 
 
-_MAX_LINE = 65536  # the longest status or header line, its end included, as in http.client
-_MAX_HEADERS = 100  # the most header lines a response may carry
 _BODY_PART = 1 << 20  # a body is read in parts of at most this, whatever its declared length
-_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: ([^\r\n]*))?\r?\n")
 _URL = re.compile(r"[!-~]+")  # what a URL may hold to go into a request line and Host as it is
 _PORTS = {"http": 80, "https": 443}
-
-
-class _Disconnected(ConnectionError):
-    """The server closed the connection before a status line."""
-
-
-class _BadResponse(Exception):
-    """A response whose framing the client does not accept."""
 
 
 def _request(origin: tuple[str, str, Optional[int]], target: str, body: Optional[bytes]) -> bytes:
@@ -528,34 +543,14 @@ def _exchange(conn: _KeepAlive, target: str, body: Optional[bytes]) -> tuple[int
         if conn.sock is None:
             conn.connect()
         conn.sock.sendall(_request(conn.origin, target, body))
-        reader = conn.reader
-        line = reader.readline(_MAX_LINE + 1)
-        if not line:
-            raise _Disconnected("the connection closed before a status line")
-        status = _STATUS_LINE.fullmatch(line)
-        if status is None:
-            raise _BadResponse(f"malformed status line {line[:80]!r}")
-        headers = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = reader.readline(_MAX_LINE + 1)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(line) > _MAX_LINE:
-                raise _BadResponse(f"a header line is longer than {_MAX_LINE} bytes")
-            name, _, value = line.partition(b":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _BadResponse(f"more than {_MAX_HEADERS} header lines")
-        if b"transfer-encoding" in headers:
-            raise _BadResponse("a body framed by Transfer-Encoding, not Content-Length")
-        length = headers.get(b"content-length", b"")
-        if not length.isdigit() or len(length) > 18:
-            raise _BadResponse(f"missing or invalid Content-Length {length[:80]!r}")
-        left, parts = int(length), []
+        status, headers, left = _read_head(conn.reader, _STATUS_LINE)
+        if left is None:
+            raise _BadMessage("a body framed by the connection's close, not Content-Length")
+        parts = []
         while left:
-            part = reader.read(min(left, _BODY_PART))
+            part = conn.reader.read(min(left, _BODY_PART))
             if not part:
-                raise _BadResponse(f"the body ended {left} bytes short of its Content-Length")
+                raise _BadMessage(f"the body ended {left} bytes short of its Content-Length")
             parts.append(part)
             left -= len(part)
         # an HTTP/1.0 server closes the connection unless asked not to
@@ -587,7 +582,7 @@ def _request_json(url: str, timeout_ms: int, body: Optional[bytes] = None) -> di
                 raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
         except (OSError, UnicodeError) as exc:  # UnicodeError: a host name IDNA cannot encode
             raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
-        except _BadResponse as exc:
+        except _BadMessage as exc:
             raise ClientTransportError(f"bad response from {url}: {exc}") from exc
     if status != 200:
         detail = ""

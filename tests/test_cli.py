@@ -343,7 +343,7 @@ def test_translate_through_endpoint(capsys, biblio_store):
 
 
 def test_serve_subprocess_graceful_shutdown():
-    proc = subprocess.Popen(
+    with subprocess.Popen(  # leaving the block closes the pipes
         [
             sys.executable,
             "-m",
@@ -356,19 +356,19 @@ def test_serve_subprocess_graceful_shutdown():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert "serving on http://" in line
-        endpoint = line.split("serving on ", 1)[1].split(" ", 1)[0].strip()
-        with urlopen(endpoint + "/stats", timeout=5) as resp:
-            payload = json.loads(resp.read())
-        assert payload["translation_entry_count"] == 7
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert "serving on http://" in line
+            endpoint = line.split("serving on ", 1)[1].split(" ", 1)[0].strip()
+            with urlopen(endpoint + "/stats", timeout=5) as resp:
+                payload = json.loads(resp.read())
+            assert payload["translation_entry_count"] == 7
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_serve_freezes_the_store_it_loads_with_the_collector_paused(monkeypatch):

@@ -1,3 +1,4 @@
+import email.utils
 import http.client
 import json
 import logging
@@ -92,14 +93,16 @@ def test_bad_language_code_is_4xx(biblio_service):
 def test_missing_parameter_is_400(biblio_service):
     with pytest.raises(HTTPError) as err:
         urlopen(biblio_service.endpoint + "/translate?word=x")
-    assert err.value.code == 400
-    assert "missing query parameter" in json.loads(err.value.read())["error"]
+    with err.value:  # it holds the connection's socket file
+        assert err.value.code == 400
+        assert "missing query parameter" in json.loads(err.value.read())["error"]
 
 
 def test_unknown_endpoint_is_404(biblio_service):
     with pytest.raises(HTTPError) as err:
         urlopen(biblio_service.endpoint + "/nope")
-    assert err.value.code == 404
+    with err.value:
+        assert err.value.code == 404
 
 
 def test_stats_endpoint(idioms_service, idioms_store):
@@ -437,7 +440,11 @@ def test_responses_that_close_say_so(idioms_store, length, body, status):
             431,
             id="200-headers",
         ),
+        pytest.param(
+            b"GET /stats HTTP/1.1\r\nX-A: " + b"b" * 65536 + b"\r\n\r\n", 431, id="long-header"
+        ),
         pytest.param(b"GARBAGE\r\n\r\n", 400, id="one-word-line"),
+        pytest.param(b"GET http://[x/stats HTTP/1.1\r\n\r\n", 400, id="unclosed-ipv6-target"),
         pytest.param(b"GET /nope\r\n\r\n", 400, id="http-0.9-unknown-path"),
         pytest.param(b"GET /stats\r\n\r\n", 400, id="http-0.9-stats"),
         pytest.param(b"GET /stats HTTP/0.9\r\n\r\n", 400, id="http-0.9-named"),
@@ -474,6 +481,11 @@ _EMBEDDED_GET = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
         pytest.param(
             b"POST /sparql HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 400, id="chunked-sparql"
         ),
+        pytest.param(
+            b"GET /stats HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: %d\r\n" % len(_EMBEDDED_GET),
+            400,
+            id="repeated-length",
+        ),
     ],
 )
 def test_an_unread_body_is_not_taken_for_a_request(idioms_service, head, status):
@@ -485,6 +497,48 @@ def test_an_unread_body_is_not_taken_for_a_request(idioms_service, head, status)
     assert response_head.startswith(b"HTTP/1.1 %d " % status)
     assert b"\r\nConnection: close" in response_head
     json.loads(body)  # the whole of the rest is this answer's body
+
+
+def test_expect_100_continue_is_answered_before_the_body(idioms_service, idioms_store):
+    with socket.create_connection((idioms_service.host, idioms_service.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /sparql HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(_LANG_QUERY)
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):  # no body byte is sent before it
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(_LANG_QUERY + b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        reply = _read_until_closed(sock)
+    answer, stats = reply.split(b"HTTP/1.1 200 OK\r\n")[1:]
+    rows = json.loads(answer.partition(b"\r\n\r\n")[2])["rows"]
+    assert sorted(rows) == [[code] for code in sorted(idioms_store.columns["language", "lang_code"])]
+    assert json.loads(stats.partition(b"\r\n\r\n")[2])["entry_count"] == idioms_store.stats().entry_count
+
+
+_IMF_FIXDATE = re.compile(rb"\r\nDate: ([A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT)(?:\r\n|$)")
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        pytest.param(b"GET /stats HTTP/1.0\r\n\r\n", id="http-1.0"),
+        pytest.param(b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", id="connection-close"),
+    ],
+)
+def test_a_request_that_will_not_be_followed_is_answered_and_closed(idioms_service, request_bytes):
+    with socket.create_connection((idioms_service.host, idioms_service.port), timeout=2) as sock:
+        sock.sendall(request_bytes)
+        reply = _read_until_closed(sock)  # a connection kept open times out here
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: close" in head
+    date = _IMF_FIXDATE.search(head)
+    assert date is not None
+    sent = email.utils.parsedate_to_datetime(date[1].decode("ascii"))
+    assert abs(sent.timestamp() - time.time()) < 5
+    assert json.loads(body)["entry_count"]
 
 
 @pytest.fixture()
@@ -787,13 +841,13 @@ def test_service_config_validation():
 
 def test_request_log_line_is_built_only_at_debug(monkeypatch, idioms_service, caplog):
     built = []
-    address_string = lexiserve._Handler.address_string
+    debug = lexiserve.logger.debug
 
-    def counting(self):
+    def counting(*args):
         built.append(1)
-        return address_string(self)
+        return debug(*args)
 
-    monkeypatch.setattr(lexiserve._Handler, "address_string", counting)
+    monkeypatch.setattr(lexiserve.logger, "debug", counting)
     with caplog.at_level(logging.INFO, logger="lexalign.lexiserve"):
         client_translate(idioms_service.endpoint, "rain cats and dogs", "en", "fr")
     assert built == []
@@ -806,14 +860,14 @@ def test_request_log_line_is_built_only_at_debug(monkeypatch, idioms_service, ca
 
 def test_each_answer_is_one_write(monkeypatch, idioms_service):
     writes = []
-    setup = lexiserve._Handler.setup
+    sendall = socket.socket.sendall
 
-    def recording(self):
-        setup(self)
-        write = self.wfile.write
-        self.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
+    def recording(self, data, *args):
+        if self.getsockname()[1] == idioms_service.port:  # the service's end of a connection
+            writes.append(bytes(data))
+        return sendall(self, data, *args)
 
-    monkeypatch.setattr(lexiserve._Handler, "setup", recording)
+    monkeypatch.setattr(socket.socket, "sendall", recording)
     conn = http.client.HTTPConnection(idioms_service.host, idioms_service.port, timeout=5)
     try:
         conn.request("GET", "/translate?word=rain+cats+and+dogs&from=en&to=fr")
@@ -898,6 +952,7 @@ _OK = b"HTTP/1.1 200 OK\r\n"
         pytest.param(_OK + b"\r\n{}", False, ClientTransportError, id="no-content-length"),
         pytest.param(_OK + b"Content-Length: 2x\r\n\r\n{}", False, ClientTransportError, id="non-numeric-length"),
         pytest.param(_OK + b"Content-Length: -2\r\n\r\n{}", False, ClientTransportError, id="negative-length"),
+        pytest.param(_OK + b"Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}", False, ClientTransportError, id="repeated-length"),
         pytest.param(_OK + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", False, ClientTransportError, id="chunked"),
         pytest.param(_OK + b"Content-Length: 100\r\n\r\n{}", True, ClientTransportError, id="short-body"),
         pytest.param(_OK + b"Content-Length: 99999999999999\r\n\r\n{}", True, ClientTransportError, id="huge-length"),
