@@ -4,24 +4,28 @@ Stages: translate every left-ontology display name, then run the string
 stage (Jaro-Winkler over token sequences), the lexical stage (thesaurus
 similarity on pairs the string stage left unmatched), and the structural
 stage (shared-triple and subclass rules seeded by the earlier stages,
-plus expanding-tree scores). Scores are aggregated by taking the maximum
-per entity pair, and a greedy one-to-one selection by descending score
-(ties by IRI byte order) produces the final alignment. Everything is
-deterministic.
+plus expanding-tree scores). A greedy one-to-one selection takes the
+stages' proposals by descending score (ties by IRI byte order, then by
+the earlier stage), so each pair counts at its best score, and produces
+the final alignment. Everything is deterministic.
 
 Only pairs of the same entity kind (class/class, property/property of
 the same flavor, individual/individual) are ever compared, and each stage
 scores only the pairs that can reach its threshold: a token cover needs
 two names of equal length, a thesaurus score needs both words in the
 thesaurus, and a tree score needs one matching node name. Every other
-pair would score nothing, so skipping it changes no output.
+pair would score nothing, so skipping it changes no output. The string
+stage and the tree walk find their covers with one search,
+NameTable.covers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .errors import LexalignError
@@ -63,6 +67,8 @@ class Correspondence:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise AlignerError(f"correspondence score out of range: {self.score}")
+        if self.source not in _SOURCE_PRIORITY:  # the selection orders ties by it
+            raise AlignerError(f"unknown correspondence source: {self.source!r}")
 
 
 class Alignment:
@@ -227,37 +233,20 @@ class NameTable:
 
         return match
 
-    def translated_matches(
-        self,
-        o1: Ontology,
-        translations: dict[str, TranslatedLabel],
-        threshold: float,
-        right_names: Iterable[str],
-    ) -> Callable[[str], frozenset[str]]:
-        """For a left name, the right names that one of its candidate keys
-        covers at `threshold`. Every left name asked about is an `o1`
-        entity's display name, which `translations` gives keys. A cover
-        needs token tuples of equal length, so a key is compared only with
-        the right names of its length."""
-        keys_by_name: dict[str, list[tuple[str, ...]]] = {}
-        for iri, tl in translations.items():
-            keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
-            keys.extend(self.tokens(key) for key in tl.candidate_keys())
-        by_length = _by_length((name, self.tokens(name)) for name in right_names)
-        answers: dict[str, frozenset[str]] = {}
-
-        def matches(a_name: str) -> frozenset[str]:
-            found = answers.get(a_name)
-            if found is None:
-                hits: set[str] = set()
-                for tokens in keys_by_name[a_name]:
-                    for b_name, b_tokens in by_length.get(len(tokens), ()):
-                        if b_name not in hits and self.cover(tokens, b_tokens, threshold) is not None:
-                            hits.add(b_name)
-                found = answers[a_name] = frozenset(hits)
-            return found
-
-        return matches
+    def covers(
+        self, keys: Iterable[tuple[str, ...]], rights: dict[int, list[tuple]], threshold: float
+    ) -> dict:
+        """The best cover at `threshold` of each right item that one of
+        `keys` covers. `rights` groups (item, tokens) pairs by token count,
+        as _by_length does; a cover needs token tuples of equal length, so
+        a key is compared only with the rights of its length."""
+        found: dict = {}
+        for tokens in keys:
+            for item, right_tokens in rights.get(len(tokens), ()):
+                score = self.cover(tokens, right_tokens, threshold)
+                if score is not None:
+                    found[item] = max(score, found.get(item, score))
+        return found
 
 
 def _by_length(named_tokens: Iterable[tuple]) -> dict[int, list[tuple]]:
@@ -268,29 +257,14 @@ def _by_length(named_tokens: Iterable[tuple]) -> dict[int, list[tuple]]:
     return groups
 
 
-class _RunLookups:
-    """A translator that asks the wrapped one once per distinct
-    (word, from_lang, to_lang) and hands out copies of its answers."""
-
-    def __init__(self, translator: Translator):
-        self._translator = translator
-        self._answers: dict[tuple[str, str, str], tuple[str, ...]] = {}
-
-    def translate(self, word: str, from_lang: str, to_lang: str) -> list[str]:
-        key = (word, from_lang, to_lang)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = tuple(self._translator.translate(word, from_lang, to_lang))
-        return list(answer)
-
-
 def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, TranslatedLabel]:
     """Translate every left-entity display name once; keyed by IRI.
 
     A word that recurs across labels and tokens, or as the lowercase
-    fallback of another, is looked up once per call.
+    fallback of another, is looked up once per call; translate_label
+    does not mutate the lists it gets back, so they can be shared.
     """
-    lookups = _RunLookups(translator)
+    lookups = SimpleNamespace(translate=cache(translator.translate))
     out: dict[str, TranslatedLabel] = {}
     for iri in sorted(o1.entities):
         entity = o1.entities[iri]
@@ -306,10 +280,8 @@ def string_correspondences(
     cfg: MatchConfig,
     table: NameTable,
 ) -> list[Correspondence]:
-    """Best token-sequence score over all candidate keys per same-kind pair.
-
-    A key is compared only with the right names of as many tokens, the
-    only ones it can cover. `table` must compare tokens with the
+    """Best token-sequence score over all candidate keys per same-kind
+    pair, from table.covers. `table` must compare tokens with the
     configured similarity.
     """
     out = []
@@ -319,13 +291,8 @@ def string_correspondences(
             (pos, table.tokens(o2.display_name(e2))) for pos, e2 in enumerate(rights)
         )
         for e1 in o1.by_kind(kind):
-            best: dict[int, float] = {}
-            for key in translations[e1.iri].candidate_keys():
-                tokens = table.tokens(key)
-                for pos, tokens2 in by_length.get(len(tokens), ()):
-                    score = table.cover(tokens, tokens2, cfg.jw_threshold)
-                    if score is not None and (pos not in best or score > best[pos]):
-                        best[pos] = score
+            keys = map(table.tokens, translations[e1.iri].candidate_keys())
+            best = table.covers(keys, by_length, cfg.jw_threshold)
             out.extend(
                 Correspondence(e1, rights[pos], min(score, 1.0), SOURCE_STRING)
                 for pos, score in sorted(best.items())
@@ -391,10 +358,11 @@ def structural_correspondences(
     the rules compare two names, the trees compare a left node's candidate
     keys with a right node's name. A tree pair scores above 0 exactly when
     a node name of the left tree matches one of the right tree, so each
-    distinct left node name is compared once with the right node names,
-    an index maps each right node name to the classes whose tree holds it,
-    and tree_similarity runs only on the class pairs that share a match,
-    with a set lookup as its matcher. Every other pair scores 0.
+    distinct left node name's keys go through table.covers once against
+    the right node names, an index maps each right node name to the
+    classes whose tree holds it, and tree_similarity runs only on the
+    class pairs that share a match, with a lookup in those covers as its
+    matcher. Every other pair scores 0.
     """
     threshold = cfg.expansion.label_matcher_threshold
     name_matcher = table.matcher(threshold)
@@ -415,7 +383,15 @@ def structural_correspondences(
     for j, tree in enumerate(trees2):
         for node in tree.nodes:
             holders.setdefault(node.name, set()).add(j)
-    matches = table.translated_matches(o1, translations, threshold, holders)
+    keys_by_name: dict[str, list[tuple[str, ...]]] = {}
+    for iri, tl in translations.items():
+        keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
+        keys.extend(map(table.tokens, tl.candidate_keys()))
+    rights = _by_length((name, table.tokens(name)) for name in holders)
+
+    @cache
+    def matches(a_name: str) -> dict[str, float]:
+        return table.covers(keys_by_name[a_name], rights, threshold)
 
     def matcher(a_name: str, b_name: str) -> bool:
         return b_name in matches(a_name)
@@ -430,29 +406,15 @@ def structural_correspondences(
     return out
 
 
-def aggregate(correspondences: Iterable[Correspondence]) -> list[Correspondence]:
-    """Keep the maximum score per (left, right) pair; on ties the earlier
-    pipeline stage wins the source tag."""
-    best: dict[tuple[str, str], Correspondence] = {}
-    for corr in correspondences:
-        key = (corr.left.iri, corr.right.iri)
-        current = best.get(key)
-        if (
-            current is None
-            or corr.score > current.score
-            or (
-                corr.score == current.score
-                and _SOURCE_PRIORITY[corr.source] < _SOURCE_PRIORITY[current.source]
-            )
-        ):
-            best[key] = corr
-    return [best[key] for key in sorted(best)]
-
-
 def greedy_one_to_one(correspondences: Iterable[Correspondence]) -> Alignment:
-    """Select by descending score, ties by (left IRI, right IRI) bytes."""
-    pool = aggregate(correspondences)
-    pool.sort(key=lambda c: (-c.score, c.left.iri, c.right.iri))
+    """Select by descending score, ties by (left IRI, right IRI) bytes and
+    then by the earlier pipeline stage. A pair's first proposal in this
+    order is its best one; any later proposal of the pair is skipped,
+    since its left or right entity is taken by then (or already was)."""
+    pool = sorted(
+        correspondences,
+        key=lambda c: (-c.score, c.left.iri, c.right.iri, _SOURCE_PRIORITY[c.source]),
+    )
     lefts: set[str] = set()
     rights: set[str] = set()
     chosen = []

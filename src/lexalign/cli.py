@@ -139,6 +139,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    if args.endpoint and args.store is not None:
+        raise _UsageError("translate takes a store path or --endpoint, not both")
     if args.endpoint:
         translator = labelkit.EndpointTranslator(args.endpoint)
     elif args.store is not None:

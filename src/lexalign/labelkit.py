@@ -13,6 +13,7 @@ limitations are deliberate and covered by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
@@ -44,20 +45,10 @@ class TranslatedLabel:
         """All strings usable for matching: whole-label candidates, each
         per-token candidate on its own, and the original when nothing
         translated. Deduplicated, order of first appearance."""
-        keys: list[str] = []
-        seen: set[str] = set()
-        for candidate in self.whole_label_candidates:
-            if candidate not in seen:
-                seen.add(candidate)
-                keys.append(candidate)
-        for candidates in self.per_token_candidates:
-            for candidate in candidates:
-                if candidate not in seen:
-                    seen.add(candidate)
-                    keys.append(candidate)
-        if self.fallback_used and self.original not in seen:
-            keys.append(self.original)
-        return keys
+        original = [self.original] if self.fallback_used else []
+        return list(
+            dict.fromkeys(chain(self.whole_label_candidates, *self.per_token_candidates, original))
+        )
 
 
 def tokenize(label: str) -> list[str]:

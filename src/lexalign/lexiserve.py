@@ -318,7 +318,7 @@ class _Handler(socketserver.BaseRequestHandler):
         required = _GET_PARAMETERS.get(url.path)
         if required is None:
             return 404, {"error": f"no such endpoint: {url.path}"}
-        params = {k: v[0] for k, v in parse_qs(url.query).items()}
+        params = {k: v[0] for k, v in parse_qs(url.query, keep_blank_values=True).items()}
         missing = [name for name in required if name not in params]
         if missing:
             return 400, {"error": f"missing query parameter(s): {', '.join(missing)}"}

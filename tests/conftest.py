@@ -494,3 +494,28 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
         seed = aligner.greedy_one_to_one(string_stage + lexical_stage)
         structural_stage = per_call_structural(o1, o2, cfg, seed, translations)
     return aligner.greedy_one_to_one(string_stage + lexical_stage + structural_stage)
+
+
+def reference_greedy_one_to_one(correspondences) -> aligner.Alignment:
+    """aligner.greedy_one_to_one as two passes: first keep each pair's
+    maximum score (on ties, the earlier stage's proposal), then select by
+    descending score with ties by (left IRI, right IRI) bytes."""
+    priority = {aligner.SOURCE_STRING: 0, aligner.SOURCE_LEXICAL: 1, aligner.SOURCE_STRUCTURE: 2}
+    best = {}
+    for corr in correspondences:
+        key = (corr.left.iri, corr.right.iri)
+        current = best.get(key)
+        if (
+            current is None
+            or corr.score > current.score
+            or (corr.score == current.score and priority[corr.source] < priority[current.source])
+        ):
+            best[key] = corr
+    pool = sorted(best.values(), key=lambda c: (-c.score, c.left.iri, c.right.iri))
+    lefts, rights, chosen = set(), set(), []
+    for corr in pool:
+        if corr.left.iri not in lefts and corr.right.iri not in rights:
+            lefts.add(corr.left.iri)
+            rights.add(corr.right.iri)
+            chosen.append(corr)
+    return aligner.Alignment(chosen)

@@ -323,6 +323,23 @@ def test_translate_without_store_or_endpoint_is_usage_error(capsys):
     assert main(["translate", "word", "--from", "fr", "--to", "en"]) == 1
 
 
+def test_translate_with_both_store_and_endpoint_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "translate",
+        str(FIXTURES / "biblio_dict"),
+        "université",
+        "--endpoint",
+        "http://127.0.0.1:9",
+        "--from",
+        "fr",
+        "--to",
+        "en",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
 def test_translate_through_endpoint(capsys, biblio_store):
     from lexalign.lexiserve import ServiceConfig, serve
 

@@ -98,6 +98,19 @@ def test_missing_parameter_is_400(biblio_service):
         assert "missing query parameter" in json.loads(err.value.read())["error"]
 
 
+def test_a_blank_query_value_is_a_value(biblio_service, biblio_store):
+    endpoint = biblio_service.endpoint
+    assert EndpointTranslator(endpoint).translate("", "fr", "en") == DictionaryTranslator(
+        biblio_store
+    ).translate("", "fr", "en")
+    for query in ("/translate?word=book&from=&to=en", "/reverse?term=book&term_lang=en&entry_lang="):
+        with pytest.raises(HTTPError) as err:
+            urlopen(endpoint + query)
+        with err.value:
+            assert err.value.code == 400
+            assert json.loads(err.value.read()) == {"error": "unknown language code: ''"}
+
+
 def test_unknown_endpoint_is_404(biblio_service):
     with pytest.raises(HTTPError) as err:
         urlopen(biblio_service.endpoint + "/nope")
