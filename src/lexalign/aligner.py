@@ -33,15 +33,14 @@ from .labelkit import TranslatedLabel, Translator, token_sequence_match, tokeniz
 from .ontomodel import EntityId, Kind, Ontology
 from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
 from .structsim import (
-    DEFAULT_EXPANSION,
-    ExpansionConfig,
+    LABEL_THRESHOLD,
     NameMatcher,
     expand_tree,
     subclass_rule,
     tree_similarity,
     triple_rule,
 )
-from .taxsim import Thesaurus, lexical_match
+from .taxsim import JCN_MAX, Thesaurus, lexical_match
 
 SOURCE_STRING = "string"
 SOURCE_LEXICAL = "lexical"
@@ -113,11 +112,12 @@ class MatchConfig:
     jcn_threshold: float = 1.0
     sw_enabled: bool = False
     structure_enabled: bool = True
-    expansion: ExpansionConfig = DEFAULT_EXPANSION
 
     def __post_init__(self) -> None:
         if not (self.jw_threshold > 0 and self.jcn_threshold > 0):  # NaN is neither
             raise AlignerError("thresholds must be positive")
+        if self.jw_threshold > 1.0 or self.jcn_threshold > JCN_MAX:  # no score would reach it
+            raise AlignerError(f"thresholds must not exceed the highest score: jw 1, jcn {JCN_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,6 @@ def lexical_correspondences(
 def structural_correspondences(
     o1: Ontology,
     o2: Ontology,
-    cfg: MatchConfig,
     seed: Alignment,
     table: NameTable,
     translations: dict[str, TranslatedLabel],
@@ -354,7 +353,7 @@ def structural_correspondences(
     """Rule-based pairs at score 1.0 plus expanding-tree scores for
     class pairs with any overlap.
 
-    Names are compared through `table` at the expansion's label threshold:
+    Names are compared through `table` at structsim.LABEL_THRESHOLD:
     the rules compare two names, the trees compare a left node's candidate
     keys with a right node's name. A tree pair scores above 0 exactly when
     a node name of the left tree matches one of the right tree, so each
@@ -364,8 +363,7 @@ def structural_correspondences(
     class pairs that share a match, with a lookup in those covers as its
     matcher. Every other pair scores 0.
     """
-    threshold = cfg.expansion.label_matcher_threshold
-    name_matcher = table.matcher(threshold)
+    name_matcher = table.matcher(LABEL_THRESHOLD)
     seed_pairs = seed.pairs()
 
     out = []
@@ -378,7 +376,7 @@ def structural_correspondences(
             out.append(Correspondence(left, right, 1.0, SOURCE_STRUCTURE))
 
     classes2 = o2.classes()
-    trees2 = [expand_tree(o2, c, cfg.expansion) for c in classes2]
+    trees2 = [expand_tree(o2, c) for c in classes2]
     holders: dict[str, set[int]] = {}
     for j, tree in enumerate(trees2):
         for node in tree.nodes:
@@ -391,13 +389,13 @@ def structural_correspondences(
 
     @cache
     def matches(a_name: str) -> dict[str, float]:
-        return table.covers(keys_by_name[a_name], rights, threshold)
+        return table.covers(keys_by_name[a_name], rights, LABEL_THRESHOLD)
 
     def matcher(a_name: str, b_name: str) -> bool:
         return b_name in matches(a_name)
 
     for c1 in o1.classes():
-        tree1 = expand_tree(o1, c1, cfg.expansion)
+        tree1 = expand_tree(o1, c1)
         candidates = {j for node in tree1.nodes for b in matches(node.name) for j in holders[b]}
         for j in sorted(candidates):
             score = tree_similarity(tree1, trees2[j], matcher)
@@ -442,8 +440,7 @@ def align(
     its own bounded by the larger of the two bounds. Each table skips the
     token pairs whose bound is below its floor.
     """
-    tree_threshold = cfg.expansion.label_matcher_threshold
-    table = NameTable(jaro_winkler, min(cfg.jw_threshold, tree_threshold), jaro_winkler_bound)
+    table = NameTable(jaro_winkler, min(cfg.jw_threshold, LABEL_THRESHOLD), jaro_winkler_bound)
     string_table = table
     if cfg.sw_enabled:
         string_table = NameTable(_jw_or_sw, cfg.jw_threshold, _jw_or_sw_bound)
@@ -458,7 +455,7 @@ def align(
     structural_stage: list[Correspondence] = []
     if cfg.structure_enabled:
         seed = greedy_one_to_one(string_stage + lexical_stage)
-        structural_stage = structural_correspondences(o1, o2, cfg, seed, table, translations)
+        structural_stage = structural_correspondences(o1, o2, seed, table, translations)
     return greedy_one_to_one(string_stage + lexical_stage + structural_stage)
 
 

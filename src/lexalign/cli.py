@@ -22,7 +22,8 @@ import sys
 import threading
 from pathlib import Path
 
-from . import aligner, dictstore, labelkit, lexiserve, ontomodel, sparqlet, taxsim, triplemap
+# serving needs only these two; each other command imports what it uses
+from . import dictstore, lexiserve
 from .errors import LexalignError
 
 EXIT_OK = 0
@@ -125,6 +126,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from . import sparqlet, triplemap
+
     store = dictstore.open_store(args.store)
     try:
         text = args.query_file.read_text(encoding="utf-8")
@@ -139,6 +142,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from . import labelkit
+
     if args.endpoint and args.store is not None:
         raise _UsageError("translate takes a store path or --endpoint, not both")
     if args.endpoint:
@@ -153,6 +158,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from . import aligner, labelkit, ontomodel, taxsim
+
     o1 = ontomodel.load_ontology_file(args.onto1)
     o2 = ontomodel.load_ontology_file(args.onto2)
     if args.store is not None:
@@ -177,6 +184,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import aligner
+
     alignment = aligner.read_alignment(args.alignment)
     reference = aligner.read_alignment(args.reference)
     print(aligner.evaluate(alignment, reference).summary())

@@ -43,7 +43,6 @@ import logging
 import re
 import socket
 import socketserver
-import ssl
 import threading
 import time
 from dataclasses import dataclass
@@ -500,6 +499,8 @@ class _KeepAlive:
             # as http.client does: a POST longer than a segment would hold its last one
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if scheme == "https":
+                import ssl  # here, so that a process without https never loads it
+
                 sock = ssl.create_default_context().wrap_socket(sock, server_hostname=hostname)
         except BaseException:
             sock.close()
@@ -634,10 +635,11 @@ def client_sparql(
     url = f"{endpoint.rstrip('/')}/sparql"
     payload = _request_json(url, timeout_ms, query_text.encode("utf-8"))
     head = payload.get("head")
-    variables = head.get("vars") if isinstance(head, dict) else None
+    variables = _string_list(head if isinstance(head, dict) else {}, "vars", url)
     rows = payload.get("rows")
-    if not isinstance(variables, list) or not isinstance(rows, list):
-        raise ClientPayloadError(
-            f"fields 'head.vars' and 'rows' missing or malformed in response from {url}"
-        )
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(variables) and all(isinstance(v, str) for v in row)
+        for row in rows
+    ):
+        raise ClientPayloadError(f"field 'rows' missing or malformed in response from {url}")
     return variables, rows

@@ -11,8 +11,8 @@ Grammar (whitespace and newline insensitive):
     prefixedName := NAME ":" NAME
     literal := '"' chars '"'
 
-A prefixed name is resolved to a full IRI when it is parsed, against the
-prefix table given to parse_query, so evaluation sees only IRIs,
+A prefixed name is resolved to a full IRI when it is parsed, against
+triplemap.DEFAULT_PREFIXES (wikpa), so evaluation sees only IRIs,
 literals and variables. Predicate-object lists introduced by ";" are
 expanded into full triple patterns sharing the group subject.
 Evaluation is a natural join over shared variables. The graph lists
@@ -117,11 +117,10 @@ def _parse_error(message: str, text: str, offset: int) -> QueryParseError:
 
 
 class _Parser:
-    def __init__(self, text: str, prefixes: dict[str, str]):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.prefixes = prefixes
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -159,9 +158,9 @@ class _Parser:
             return Variable(text[1:])
         if kind == "pname":
             prefix, local = text.split(":", 1)
-            if prefix not in self.prefixes:
+            if prefix not in DEFAULT_PREFIXES:
                 self.fail(f"unknown prefix: {prefix!r}", tok)
-            return Iri(self.prefixes[prefix] + local)
+            return Iri(DEFAULT_PREFIXES[prefix] + local)
         if kind == "literal":
             if not allow_literal:
                 self.fail("literal not allowed here", tok)
@@ -227,10 +226,10 @@ class _Parser:
         return Query(tuple(select_vars), tuple(patterns), limit)
 
 
-def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
-    """Parse `text`; prefixed names are resolved to full IRIs against
-    `prefixes` (default: the wikpa binding). Errors carry line and column."""
-    return _Parser(text, DEFAULT_PREFIXES if prefixes is None else prefixes).parse_query()
+def parse_query(text: str) -> Query:
+    """Parse `text`; prefixed names are resolved to full IRIs against the
+    wikpa binding. Errors carry line and column."""
+    return _Parser(text).parse_query()
 
 
 def plan_order(query: Query, store: TableGraph | None = None) -> list[TriplePattern]:

@@ -6,32 +6,14 @@ case; callers that want case-insensitive matching lowercase first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 WINKLER_PREFIX_SCALE = 0.1
 WINKLER_MAX_PREFIX = 4
+SW_MATCH = 2  # Smith-Waterman scores: a positive match, nonpositive mismatch and gap
+SW_MISMATCH = -1
+SW_GAP = -1
 Counts = Mapping[str, int]  # a string's character counts, as collections.Counter gives them
-
-
-@dataclass(frozen=True)
-class SwScoring:
-    """Smith-Waterman scoring: positive match, nonpositive mismatch and gap."""
-
-    match: int = 2
-    mismatch: int = -1
-    gap: int = -1
-
-    def __post_init__(self) -> None:
-        if self.match <= 0:
-            raise ValueError("match score must be positive")
-        if self.mismatch > 0:
-            raise ValueError("mismatch score must be <= 0")
-        if self.gap > 0:
-            raise ValueError("gap score must be <= 0")
-
-
-DEFAULT_SW_SCORING = SwScoring()
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -109,66 +91,43 @@ def jaro_winkler_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> fl
     return _winkler(s1, s2, (m / len(s1) + m / len(s2) + 1.0) / 3)
 
 
-def smith_waterman(
-    s1: str, s2: str, scoring: SwScoring = DEFAULT_SW_SCORING
-) -> tuple[int, tuple[str, str]]:
-    """Local alignment via the classic H(i,j) = max(0, diag, up, left) recurrence.
-
-    Returns the maximal cell value and the pair of contiguous substrings
-    spanned by the traceback from that cell. Ties prefer the earliest
-    best cell in row-major order and diagonal moves during traceback,
-    which keeps the reported region deterministic.
-    """
-    n, m = len(s1), len(s2)
-    if n == 0 or m == 0:
-        return 0, ("", "")
-    h = [[0] * (m + 1) for _ in range(n + 1)]
+def smith_waterman(s1: str, s2: str) -> int:
+    """The best local alignment score, max over i, j of the classic
+    H(i,j) = max(0, diag, up, left) recurrence; two rows of H at a time."""
     best = 0
-    best_pos = (0, 0)
-    for i in range(1, n + 1):
-        row = h[i]
-        prev = h[i - 1]
-        c1 = s1[i - 1]
-        for j in range(1, m + 1):
-            sub = scoring.match if c1 == s2[j - 1] else scoring.mismatch
-            val = max(0, prev[j - 1] + sub, prev[j] + scoring.gap, row[j - 1] + scoring.gap)
-            row[j] = val
+    prev = [0] * (len(s2) + 1)
+    for c1 in s1:
+        row = [0]
+        for j, c2 in enumerate(s2):
+            val = max(
+                0,
+                prev[j] + (SW_MATCH if c1 == c2 else SW_MISMATCH),
+                prev[j + 1] + SW_GAP,
+                row[j] + SW_GAP,
+            )
+            row.append(val)
             if val > best:
                 best = val
-                best_pos = (i, j)
-    if best == 0:
-        return 0, ("", "")
-
-    i, j = best_pos
-    end_i, end_j = i, j
-    while i > 0 and j > 0 and h[i][j] > 0:
-        sub = scoring.match if s1[i - 1] == s2[j - 1] else scoring.mismatch
-        if h[i][j] == h[i - 1][j - 1] + sub:
-            i, j = i - 1, j - 1
-        elif h[i][j] == h[i - 1][j] + scoring.gap:
-            i -= 1
-        else:
-            j -= 1
-    return best, (s1[i:end_i], s2[j:end_j])
+        prev = row
+    return best
 
 
-def sw_normalized(s1: str, s2: str, scoring: SwScoring = DEFAULT_SW_SCORING) -> float:
-    """Smith-Waterman raw score scaled into [0, 1] by match * min(len).
+def sw_normalized(s1: str, s2: str) -> float:
+    """Smith-Waterman raw score scaled into [0, 1] by SW_MATCH * min(len).
 
     An exact substring of the shorter string inside the longer one
     scores 1.0. Empty input scores 0.
     """
     if not s1 or not s2:
         return 0.0
-    raw, _ = smith_waterman(s1, s2, scoring)
-    return raw / (scoring.match * min(len(s1), len(s2)))
+    return smith_waterman(s1, s2) / (SW_MATCH * min(len(s1), len(s2)))
 
 
 def sw_normalized_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> float:
-    """An upper bound on sw_normalized under any SwScoring.
+    """An upper bound on sw_normalized.
 
     A local alignment's matches pair equal characters one to one and every
-    other step scores <= 0, so raw <= match * (shared count), which
+    other step scores <= 0, so raw <= SW_MATCH * (shared count), which
     normalizes to shared / min(len).
     """
     if not s1 or not s2:

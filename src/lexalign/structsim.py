@@ -28,21 +28,8 @@ class StructureError(LexalignError):
     pass
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
-    level_weights: tuple[int, ...] = (3, 2, 1)
-    label_matcher_threshold: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not self.level_weights or any(w <= 0 for w in self.level_weights):
-            raise StructureError("level weights must be positive")
-        if any(a <= b for a, b in zip(self.level_weights, self.level_weights[1:])):
-            raise StructureError("level weights must be strictly decreasing")
-        if not self.label_matcher_threshold > 0:  # NaN is not
-            raise StructureError("label matcher threshold must be positive")
-
-
-DEFAULT_EXPANSION = ExpansionConfig()
+LEVEL_WEIGHTS = (3, 2, 1)  # the tree's node weight at depth 1, 2, 3
+LABEL_THRESHOLD = 0.9  # the token similarity at which two tree or rule names match
 
 NameMatcher = Callable[[str, str], bool]
 
@@ -63,7 +50,7 @@ class WeightedTree:
         return sum(node.weight for node in self.nodes)
 
 
-def expand_tree(onto: Ontology, cls: EntityId, cfg: ExpansionConfig = DEFAULT_EXPANSION) -> WeightedTree:
+def expand_tree(onto: Ontology, cls: EntityId) -> WeightedTree:
     """Expand a class into its weighted neighborhood.
 
     Level 1: direct subclasses plus properties where the class is domain
@@ -78,7 +65,7 @@ def expand_tree(onto: Ontology, cls: EntityId, cfg: ExpansionConfig = DEFAULT_EX
     seen: set[EntityId] = {cls}
     tree = WeightedTree(root=cls)
     frontier: list[EntityId] = [cls]
-    for level, weight in enumerate(cfg.level_weights, start=1):
+    for level, weight in enumerate(LEVEL_WEIGHTS, start=1):
         next_frontier: list[EntityId] = []
         for item in frontier:
             if item.kind == Kind.CLASS:

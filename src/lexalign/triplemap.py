@@ -8,7 +8,7 @@ a bound object to a cell value, and answers from the tables and the
 store's column indexes (the "virtual RDF graph" of D2RQ, Bizer &
 Seaborne, ISWC 2004).
 Lookups take full IRIs; prefixed names are resolved when a query is
-parsed (sparqlet.parse_query, against DEFAULT_PREFIXES by default).
+parsed (sparqlet.parse_query, against DEFAULT_PREFIXES).
 """
 
 from __future__ import annotations

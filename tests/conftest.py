@@ -13,7 +13,7 @@ import pytest
 from lexalign import aligner, dictstore, labelkit, ontomodel, structsim, taxsim, triplemap
 from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
-from lexalign.strsim import SwScoring, jaro_winkler, sw_normalized
+from lexalign.strsim import SW_GAP, SW_MATCH, SW_MISMATCH, jaro_winkler, sw_normalized
 from lexalign.triplemap import WIKPA_BASE, Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -325,21 +325,21 @@ def reference_frequency_ic(thesaurus: taxsim.Thesaurus, freqs: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _global_alignment(a: str, b: str, scoring: SwScoring) -> int:
+def _global_alignment(a: str, b: str) -> int:
     """Plain recursive Needleman-Wunsch score of two whole strings."""
     if not a:
-        return len(b) * scoring.gap
+        return len(b) * SW_GAP
     if not b:
-        return len(a) * scoring.gap
-    sub = scoring.match if a[0] == b[0] else scoring.mismatch
+        return len(a) * SW_GAP
+    sub = SW_MATCH if a[0] == b[0] else SW_MISMATCH
     return max(
-        sub + _global_alignment(a[1:], b[1:], scoring),
-        scoring.gap + _global_alignment(a[1:], b, scoring),
-        scoring.gap + _global_alignment(a, b[1:], scoring),
+        sub + _global_alignment(a[1:], b[1:]),
+        SW_GAP + _global_alignment(a[1:], b),
+        SW_GAP + _global_alignment(a, b[1:]),
     )
 
 
-def exhaustive_local_alignment(s1: str, s2: str, scoring: SwScoring) -> int:
+def exhaustive_local_alignment(s1: str, s2: str) -> int:
     """Best global alignment over every pair of substrings; the slow but
     obviously-correct counterpart of the Smith-Waterman recurrence."""
     best = 0
@@ -347,7 +347,7 @@ def exhaustive_local_alignment(s1: str, s2: str, scoring: SwScoring) -> int:
     subs2 = {s2[i:j] for i in range(len(s2)) for j in range(i + 1, len(s2) + 1)}
     for a in subs1:
         for b in subs2:
-            score = _global_alignment(a, b, scoring)
+            score = _global_alignment(a, b)
             if score > best:
                 best = score
     return best
@@ -406,16 +406,14 @@ def kind_pairs(o1, o2):
     return pairs
 
 
-def all_pairs_tree_scores(o1, o2, cfg, translations):
+def all_pairs_tree_scores(o1, o2, translations):
     """The tree score of every class pair, nonzero or not, in (left,
     right) class order: every class expanded, every pair scored through
     the per-call translated matcher."""
-    matcher = per_call_translated_matcher(
-        o1, translations, cfg.expansion.label_matcher_threshold
-    )
+    matcher = per_call_translated_matcher(o1, translations, structsim.LABEL_THRESHOLD)
     classes1, classes2 = o1.classes(), o2.classes()
-    trees1 = {c.iri: structsim.expand_tree(o1, c, cfg.expansion) for c in classes1}
-    trees2 = {c.iri: structsim.expand_tree(o2, c, cfg.expansion) for c in classes2}
+    trees1 = {c.iri: structsim.expand_tree(o1, c) for c in classes1}
+    trees2 = {c.iri: structsim.expand_tree(o2, c) for c in classes2}
     return [
         (c1, c2, structsim.tree_similarity(trees1[c1.iri], trees2[c2.iri], matcher))
         for c1 in classes1
@@ -423,10 +421,10 @@ def all_pairs_tree_scores(o1, o2, cfg, translations):
     ]
 
 
-def per_call_structural(o1, o2, cfg, seed, translations):
+def per_call_structural(o1, o2, seed, translations):
     """aligner.structural_correspondences with both rules run through the
     per-call name matcher and a tree score for every class pair."""
-    matcher = per_call_name_matcher(cfg.expansion.label_matcher_threshold)
+    matcher = per_call_name_matcher(structsim.LABEL_THRESHOLD)
     seed_pairs = seed.pairs()
     out = []
     seen = set()
@@ -436,7 +434,7 @@ def per_call_structural(o1, o2, cfg, seed, translations):
         if (left.iri, right.iri) not in seen:
             seen.add((left.iri, right.iri))
             out.append(aligner.Correspondence(left, right, 1.0, aligner.SOURCE_STRUCTURE))
-    for c1, c2, score in all_pairs_tree_scores(o1, o2, cfg, translations):
+    for c1, c2, score in all_pairs_tree_scores(o1, o2, translations):
         if score > 0:
             out.append(aligner.Correspondence(c1, c2, score, aligner.SOURCE_STRUCTURE))
     return out
@@ -492,7 +490,7 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
     structural_stage = []
     if cfg.structure_enabled:
         seed = aligner.greedy_one_to_one(string_stage + lexical_stage)
-        structural_stage = per_call_structural(o1, o2, cfg, seed, translations)
+        structural_stage = per_call_structural(o1, o2, seed, translations)
     return aligner.greedy_one_to_one(string_stage + lexical_stage + structural_stage)
 
 

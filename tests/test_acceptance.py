@@ -35,13 +35,7 @@ from lexalign.labelkit import DictionaryTranslator
 from lexalign.lexiserve import ServiceConfig, client_sparql, client_translate, serve
 from lexalign.ontomodel import EntityId, Kind
 from lexalign.sparqlet import evaluate, parse_query
-from lexalign.strsim import (
-    DEFAULT_SW_SCORING,
-    jaro,
-    jaro_winkler,
-    jaro_winkler_bound,
-    smith_waterman,
-)
+from lexalign.strsim import jaro, jaro_winkler, jaro_winkler_bound, smith_waterman
 from lexalign.structsim import TreeNode, WeightedTree, tree_similarity
 from lexalign.taxsim import jcn_similarity, lexical_match
 from lexalign.triplemap import to_triples
@@ -157,20 +151,17 @@ def test_criterion_6_string_metric_suite():
     # product (1.19M pairs) does not fit the runtime budget, so cover
     # every pair to length 4, every 2-letter pair to length 6, and a
     # seeded sample of longer 3-letter pairs
-    scoring = DEFAULT_SW_SCORING
     compared = 0
     for alphabet, max_len in (("abc", 4), ("ab", 6)):
         strings = all_strings(alphabet, max_len)
         for s1 in strings:
             for s2 in strings:
-                raw, _ = smith_waterman(s1, s2, scoring)
-                assert raw == exhaustive_local_alignment(s1, s2, scoring), (s1, s2)
+                assert smith_waterman(s1, s2) == exhaustive_local_alignment(s1, s2), (s1, s2)
                 compared += 1
     for _ in range(2000):
         s1 = "".join(rng.choice("abc") for _ in range(rng.randint(5, 6)))
         s2 = "".join(rng.choice("abc") for _ in range(rng.randint(5, 6)))
-        raw, _ = smith_waterman(s1, s2, scoring)
-        assert raw == exhaustive_local_alignment(s1, s2, scoring), (s1, s2)
+        assert smith_waterman(s1, s2) == exhaustive_local_alignment(s1, s2), (s1, s2)
         compared += 1
     passline(6, f"metric values frozen; SW equals oracle on {compared} pairs")
 

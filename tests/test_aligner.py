@@ -33,7 +33,6 @@ from lexalign.aligner import (
     _translated,
 )
 from lexalign.ontomodel import EntityId, Kind, load_ontology
-from lexalign.structsim import ExpansionConfig
 from lexalign.labelkit import token_sequence_match
 from lexalign.strsim import jaro_winkler, jaro_winkler_bound, sw_normalized
 
@@ -299,23 +298,17 @@ def check_against_per_call(o1, o2, translator, cfg, thesaurus=None):
     )
     translations = _translated(o1, translator, cfg)
     seed = greedy_one_to_one(string_correspondences(o1, o2, translations, cfg, string_table(cfg)))
-    threshold = cfg.expansion.label_matcher_threshold
-    table = NameTable(jaro_winkler, threshold, jaro_winkler_bound)
-    assert structural_correspondences(
-        o1, o2, cfg, seed, table, translations
-    ) == per_call_structural(o1, o2, cfg, seed, translations)
+    table = NameTable(jaro_winkler, structsim.LABEL_THRESHOLD, jaro_winkler_bound)
+    assert structural_correspondences(o1, o2, seed, table, translations) == per_call_structural(
+        o1, o2, seed, translations
+    )
 
 
 def test_name_table_agrees_with_per_call_matchers_on_biblio(
     onto_fr, onto_en, dict_translator, thesaurus
 ):
-    for jw_threshold, label_threshold in ((0.9, 0.9), (0.8, 0.95), (0.95, 0.8)):
-        cfg = MatchConfig(
-            "fr",
-            "en",
-            jw_threshold=jw_threshold,
-            expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
-        )
+    for jw_threshold in (0.9, 0.8, 0.95):
+        cfg = MatchConfig("fr", "en", jw_threshold=jw_threshold)
         check_against_per_call(onto_fr, onto_en, dict_translator, cfg, thesaurus)
 
 
@@ -324,19 +317,10 @@ def test_name_table_agrees_with_per_call_matchers_on_biblio(
     small_ontology("http://example.org/one#"),
     small_ontology("http://example.org/two#"),
     _THRESHOLDS,
-    _THRESHOLDS,
     st.booleans(),
 )
-def test_name_table_agrees_with_per_call_matchers_on_small_pairs(
-    o1, o2, jw_threshold, label_threshold, sw_enabled
-):
-    cfg = MatchConfig(
-        "fr",
-        "en",
-        jw_threshold=jw_threshold,
-        sw_enabled=sw_enabled,
-        expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
-    )
+def test_name_table_agrees_with_per_call_matchers_on_small_pairs(o1, o2, jw_threshold, sw_enabled):
+    cfg = MatchConfig("fr", "en", jw_threshold=jw_threshold, sw_enabled=sw_enabled)
     check_against_per_call(o1, o2, WordTableTranslator(), cfg)
 
 
@@ -396,7 +380,7 @@ def check_candidates_are_exact(o1, o2, translator, cfg, thesaurus):
     translations = _translated(o1, translator, cfg)
     assert [(left, right) for left, right, _ in scored] == [
         (c1.iri, c2.iri)
-        for c1, c2, score in all_pairs_tree_scores(o1, o2, cfg, translations)
+        for c1, c2, score in all_pairs_tree_scores(o1, o2, translations)
         if score > 0
     ]
     assert all(w1 in thesaurus.word_index and w2 in thesaurus.word_index for w1, w2 in asked)
@@ -407,12 +391,7 @@ def test_align_scores_only_pairs_that_can_match_on_biblio(
     onto_fr, onto_en, dict_translator, thesaurus
 ):
     for threshold in (0.8, 0.9, 0.95, 1.0):
-        cfg = MatchConfig(
-            "fr",
-            "en",
-            jw_threshold=threshold,
-            expansion=ExpansionConfig(label_matcher_threshold=threshold),
-        )
+        cfg = MatchConfig("fr", "en", jw_threshold=threshold)
         scored, asked = check_candidates_are_exact(
             onto_fr, onto_en, dict_translator, cfg, thesaurus
         )
@@ -425,17 +404,9 @@ def test_align_scores_only_pairs_that_can_match_on_biblio(
     small_ontology("http://example.org/one#"),
     small_ontology("http://example.org/two#"),
     _THRESHOLDS,
-    _THRESHOLDS,
 )
-def test_align_scores_only_pairs_that_can_match_on_small_pairs(
-    o1, o2, jw_threshold, label_threshold
-):
-    cfg = MatchConfig(
-        "fr",
-        "en",
-        jw_threshold=jw_threshold,
-        expansion=ExpansionConfig(label_matcher_threshold=label_threshold),
-    )
+def test_align_scores_only_pairs_that_can_match_on_small_pairs(o1, o2, jw_threshold):
+    cfg = MatchConfig("fr", "en", jw_threshold=jw_threshold)
     check_candidates_are_exact(o1, o2, WordTableTranslator(), cfg, SMALL_THESAURUS)
     check_against_per_call(o1, o2, WordTableTranslator(), cfg, SMALL_THESAURUS)
 
@@ -462,8 +433,16 @@ def test_thresholds_must_be_positive_numbers(value):
         MatchConfig("fr", "en", jw_threshold=value)
     with pytest.raises(AlignerError, match="positive"):
         MatchConfig("fr", "en", jcn_threshold=value)
-    with pytest.raises(structsim.StructureError, match="positive"):
-        ExpansionConfig(label_matcher_threshold=value)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("jw_threshold", 1.5), ("jw_threshold", float("inf")), ("jcn_threshold", float("inf"))],
+)
+def test_thresholds_no_score_can_reach_are_refused(option, value):
+    with pytest.raises(AlignerError, match="highest score"):
+        MatchConfig("fr", "en", **{option: value})
+    MatchConfig("fr", "en", jw_threshold=1.0, jcn_threshold=taxsim.JCN_MAX)
 
 
 def test_name_table_refuses_a_threshold_below_its_floor():

@@ -4,6 +4,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from pathlib import Path
 from urllib.request import urlopen
 
 import pytest
@@ -235,21 +236,24 @@ def test_match_on_cyclic_ontology_exit_code_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--jw", "--jcn"])
 def test_match_with_a_nan_threshold_exit_code_2(tmp_path, capsys, option):
-    code, _, err = run(
-        capsys,
-        "match",
-        str(FIXTURES / "biblio_fr.nt"),
-        str(FIXTURES / "biblio_en.nt"),
-        "--store",
-        str(FIXTURES / "biblio_dict"),
-        option,
-        "nan",
-        *MATCH_OPTIONS,
-        str(tmp_path / "alignment.tsv"),
-    )
-    assert code == 2
-    assert "thresholds must be positive" in err
-    assert not (tmp_path / "alignment.tsv").exists()
+    # and a threshold above the stage's highest score, which would turn it off
+    unreachable = {"--jw": "1.5", "--jcn": "inf"}[option]
+    for value, message in (("nan", "thresholds must be positive"), (unreachable, "highest score")):
+        code, _, err = run(
+            capsys,
+            "match",
+            str(FIXTURES / "biblio_fr.nt"),
+            str(FIXTURES / "biblio_en.nt"),
+            "--store",
+            str(FIXTURES / "biblio_dict"),
+            option,
+            value,
+            *MATCH_OPTIONS,
+            str(tmp_path / "alignment.tsv"),
+        )
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "alignment.tsv").exists()
 
 
 def test_match_on_an_entity_without_a_name_exit_code_2(tmp_path, capsys):
@@ -357,6 +361,30 @@ def test_translate_through_endpoint(capsys, biblio_store):
         )
     assert code == 0
     assert out.splitlines() == ["cinema", "film", "flick", "motion picture", "movie"]
+
+
+# what serving never needs: the aligner and its stages, and TLS
+_NOT_FOR_SERVING = (
+    "lexalign.aligner",
+    "lexalign.labelkit",
+    "lexalign.ontomodel",
+    "lexalign.strsim",
+    "lexalign.structsim",
+    "lexalign.taxsim",
+    "ssl",
+)
+
+
+def test_the_cli_and_its_parser_load_nothing_serving_does_not_need():
+    src = str(Path(__file__).parent.parent / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import lexalign.cli; "
+        "lexalign.cli._build_parser(); "
+        f"print([name for name in {_NOT_FOR_SERVING!r} if name in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_serve_subprocess_graceful_shutdown():

@@ -739,12 +739,22 @@ def test_unreachable_endpoint_is_transport_error():
         client_translate(f"http://127.0.0.1:{port}", "w", "en", "fr", timeout_ms=500)
 
 
+# JSON bodies, by path prefix, that a client must refuse
+_GARBAGE = {
+    "/wrong-shape/": b'{"rows": []}',
+    "/int-cell/": b'{"head": {"vars": ["a"]}, "rows": [[1]]}',
+    "/short-row/": b'{"head": {"vars": ["a", "b"]}, "rows": [["x"]]}',
+    "/int-var/": b'{"head": {"vars": [1]}, "rows": []}',
+}
+
+
 class _GarbageHandler(BaseHTTPRequestHandler):
     """Answers 200 to GET and POST with a body that is not JSON or, under
-    /wrong-shape/, with JSON that lacks every expected field."""
+    a prefix of _GARBAGE, with JSON of the wrong shape."""
 
     def do_GET(self):
-        body = b'{"rows": []}' if self.path.startswith("/wrong-shape/") else b"this is not json"
+        prefix = "/" + self.path.split("/")[1] + "/"
+        body = _GARBAGE.get(prefix, b"this is not json")
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -768,8 +778,9 @@ def test_malformed_json_is_payload_error():
             client_sparql(endpoint, "SELECT ?a WHERE { ?a ?b ?c . }")
         with pytest.raises(ClientPayloadError):
             client_translate(endpoint + "/wrong-shape", "w", "en", "fr")
-        with pytest.raises(ClientPayloadError):
-            client_sparql(endpoint + "/wrong-shape", "SELECT ?a WHERE { ?a ?b ?c . }")
+        for prefix in _GARBAGE:
+            with pytest.raises(ClientPayloadError):
+                client_sparql(endpoint + prefix.rstrip("/"), "SELECT ?a WHERE { ?a ?b ?c . }")
     finally:
         server.shutdown()
         server.server_close()

@@ -126,22 +126,6 @@ def test_unknown_prefix_is_parse_error():
         parse_query('SELECT ?x WHERE { ?x nope:p "v" . }')
 
 
-LANG_EN = 'SELECT ?l WHERE { ?l wikpa:lang_code "en" . }'
-
-
-def test_prefixes_resolve_against_the_table_given_to_the_parser(idioms_triples):
-    expected = evaluate(parse_query(LANG_EN), idioms_triples).rows
-    assert expected
-    query = parse_query(LANG_EN.replace("wikpa:", "w:"), {"w": WIKPA_BASE})
-    assert evaluate(query, idioms_triples).rows == expected
-
-
-def test_a_rebound_prefix_names_other_iris(idioms_triples):
-    query = parse_query(LANG_EN, {"wikpa": "http://other.example/"})
-    assert evaluate(query, idioms_triples).rows == []
-    assert query.patterns[0].predicate == Iri("http://other.example/lang_code")
-
-
 def test_literal_predicate_rejected():
     with pytest.raises(QueryParseError, match="literal not allowed"):
         parse_query('SELECT ?x WHERE { ?x "p" ?y . }')

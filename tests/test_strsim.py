@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import all_strings, exhaustive_local_alignment
 from lexalign.strsim import (
-    DEFAULT_SW_SCORING,
-    SwScoring,
+    SW_MATCH,
     jaro,
     jaro_winkler,
     jaro_winkler_bound,
@@ -108,25 +107,20 @@ def test_jaro_winkler_bound_is_never_below_jaro_winkler(pair):
 
 
 def test_smith_waterman_aab_ab():
-    raw, region = smith_waterman("aab", "ab")
-    assert raw == 4
-    assert region == ("ab", "ab")
+    assert smith_waterman("aab", "ab") == 4
 
 
 def test_smith_waterman_abc_abd():
-    raw, _ = smith_waterman("abc", "abd")
-    assert raw == 4
+    assert smith_waterman("abc", "abd") == 4
 
 
 def test_smith_waterman_empty():
-    assert smith_waterman("", "abc") == (0, ("", ""))
-    assert smith_waterman("abc", "") == (0, ("", ""))
+    assert smith_waterman("", "abc") == 0
+    assert smith_waterman("abc", "") == 0
 
 
 def test_smith_waterman_no_overlap():
-    raw, region = smith_waterman("aaa", "bbb")
-    assert raw == 0
-    assert region == ("", "")
+    assert smith_waterman("aaa", "bbb") == 0
 
 
 def test_sw_normalized_examples():
@@ -137,58 +131,30 @@ def test_sw_normalized_examples():
 
 
 def test_sw_raw_bounds():
-    scoring = DEFAULT_SW_SCORING
     for s1, s2 in random_pairs(seed=7, count=300, alphabet="abc", max_len=8):
-        raw, _ = smith_waterman(s1, s2, scoring)
-        assert 0 <= raw <= scoring.match * min(len(s1), len(s2))
-        assert sw_normalized(s1, s2, scoring) == pytest.approx(
-            sw_normalized(s2, s1, scoring), abs=1e-12
-        )
+        raw = smith_waterman(s1, s2)
+        assert 0 <= raw <= SW_MATCH * min(len(s1), len(s2))
+        assert sw_normalized(s1, s2) == pytest.approx(sw_normalized(s2, s1), abs=1e-12)
 
 
 def test_smith_waterman_equals_exhaustive_oracle_small():
-    scoring = DEFAULT_SW_SCORING
     strings = all_strings("ab", 4)
     for s1 in strings:
         for s2 in strings:
-            raw, _ = smith_waterman(s1, s2, scoring)
-            assert raw == exhaustive_local_alignment(s1, s2, scoring), (s1, s2)
+            assert smith_waterman(s1, s2) == exhaustive_local_alignment(s1, s2), (s1, s2)
 
 
-@pytest.mark.parametrize(
-    "scoring", [SwScoring(), SwScoring(3, -2, -1), SwScoring(1, 0, 0)], ids=str
-)
-def test_sw_normalized_bound_is_never_below_sw_normalized(scoring):
+def test_sw_normalized_bound_is_never_below_sw_normalized():
     strings = all_strings("abc", 4)
     counts = {s: Counter(s) for s in strings}
     for s1 in strings:
         for s2 in strings:
             bound = sw_normalized_bound(s1, s2, counts[s1], counts[s2])
-            assert bound >= sw_normalized(s1, s2, scoring), (s1, s2)
+            assert bound >= sw_normalized(s1, s2), (s1, s2)
 
 
-def test_smith_waterman_oracle_with_other_scoring():
-    scoring = SwScoring(match=3, mismatch=-2, gap=-2)
-    rng = random.Random(5)
-    for _ in range(200):
-        s1 = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
-        s2 = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
-        raw, _ = smith_waterman(s1, s2, scoring)
-        assert raw == exhaustive_local_alignment(s1, s2, scoring)
-
-
-def test_region_is_substring_pair():
+def test_smith_waterman_scores_a_shared_character():
     for s1, s2 in random_pairs(seed=11, count=200, alphabet="abcd", max_len=8):
-        raw, (r1, r2) = smith_waterman(s1, s2)
-        assert r1 in s1 and r2 in s2
-        if raw == 0:
-            assert r1 == "" and r2 == ""
-
-
-def test_scoring_validation():
-    with pytest.raises(ValueError):
-        SwScoring(match=0)
-    with pytest.raises(ValueError):
-        SwScoring(mismatch=1)
-    with pytest.raises(ValueError):
-        SwScoring(gap=2)
+        raw = smith_waterman(s1, s2)
+        assert raw == smith_waterman(s2, s1)
+        assert (raw >= SW_MATCH) == bool(set(s1) & set(s2)), (s1, s2)

@@ -5,7 +5,7 @@ import pytest
 from conftest import per_call_name_matcher
 from lexalign.ontomodel import load_ontology
 from lexalign.structsim import (
-    ExpansionConfig,
+    LEVEL_WEIGHTS,
     StructureError,
     TreeNode,
     WeightedTree,
@@ -47,15 +47,6 @@ def name_eq(a, b):
     return a == b
 
 
-def test_expansion_config_validation():
-    with pytest.raises(StructureError):
-        ExpansionConfig(level_weights=(1, 2, 3))
-    with pytest.raises(StructureError):
-        ExpansionConfig(level_weights=(3, 3, 1))
-    with pytest.raises(StructureError):
-        ExpansionConfig(level_weights=())
-
-
 def test_isolated_class_has_empty_tree():
     onto = build(EX1, classes=["Lonely"])
     tree = expand_tree(onto, onto.entity(EX1 + "Lonely"))
@@ -80,12 +71,11 @@ def test_expand_tree_weight_sum():
 
 
 def test_expand_tree_weights_follow_config(onto_fr, onto_en):
-    cfg = ExpansionConfig()
     for onto in (onto_fr, onto_en):
         for cls in onto.classes():
-            for node in expand_tree(onto, cls, cfg).nodes:
-                assert node.weight == cfg.level_weights[node.level - 1]
-                assert 1 <= node.level <= len(cfg.level_weights)
+            for node in expand_tree(onto, cls).nodes:
+                assert node.weight == LEVEL_WEIGHTS[node.level - 1]
+                assert 1 <= node.level <= len(LEVEL_WEIGHTS)
 
 
 def test_expand_tree_duplicate_kept_at_shallowest():
