@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .errors import LexalignError
-from .labelkit import TranslatedLabel, Translator, token_sequence_match, tokenize, translate_label
+from .labelkit import Translator, token_sequence_match, tokenize, translate_label
 from .ontomodel import EntityId, Kind, Ontology
 from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
 from .structsim import (
@@ -257,15 +257,15 @@ def _by_length(named_tokens: Iterable[tuple]) -> dict[int, list[tuple]]:
     return groups
 
 
-def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, TranslatedLabel]:
-    """Translate every left-entity display name once; keyed by IRI.
+def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, list[str]]:
+    """The matching keys of every left-entity display name; keyed by IRI.
 
     A word that recurs across labels and tokens, or as the lowercase
     fallback of another, is looked up once per call; translate_label
     does not mutate the lists it gets back, so they can be shared.
     """
     lookups = SimpleNamespace(translate=cache(translator.translate))
-    out: dict[str, TranslatedLabel] = {}
+    out: dict[str, list[str]] = {}
     for iri in sorted(o1.entities):
         entity = o1.entities[iri]
         name = o1.display_name(entity)
@@ -276,7 +276,7 @@ def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[
 def string_correspondences(
     o1: Ontology,
     o2: Ontology,
-    translations: dict[str, TranslatedLabel],
+    translations: dict[str, list[str]],
     cfg: MatchConfig,
     table: NameTable,
 ) -> list[Correspondence]:
@@ -291,7 +291,7 @@ def string_correspondences(
             (pos, table.tokens(o2.display_name(e2))) for pos, e2 in enumerate(rights)
         )
         for e1 in o1.by_kind(kind):
-            keys = map(table.tokens, translations[e1.iri].candidate_keys())
+            keys = map(table.tokens, translations[e1.iri])
             best = table.covers(keys, by_length, cfg.jw_threshold)
             out.extend(
                 Correspondence(e1, rights[pos], min(score, 1.0), SOURCE_STRING)
@@ -308,7 +308,7 @@ def _jcn_to_score(value: float) -> float:
 def lexical_correspondences(
     o1: Ontology,
     o2: Ontology,
-    translations: dict[str, TranslatedLabel],
+    translations: dict[str, list[str]],
     cfg: MatchConfig,
     thesaurus: Thesaurus,
     skip: set[tuple[str, str]],
@@ -330,7 +330,7 @@ def lexical_correspondences(
             if name in words:
                 rights.append((e2, name))
         for e1 in o1.by_kind(kind):
-            joined = (" ".join(table.tokens(key)) for key in translations[e1.iri].candidate_keys())
+            joined = (" ".join(table.tokens(key)) for key in translations[e1.iri])
             keys = [key for key in dict.fromkeys(joined) if key in words]
             for e2, name in rights:
                 if (e1.iri, e2.iri) in skip:
@@ -348,7 +348,7 @@ def structural_correspondences(
     o2: Ontology,
     seed: Alignment,
     table: NameTable,
-    translations: dict[str, TranslatedLabel],
+    translations: dict[str, list[str]],
 ) -> list[Correspondence]:
     """Rule-based pairs at score 1.0 plus expanding-tree scores for
     class pairs with any overlap.
@@ -382,9 +382,9 @@ def structural_correspondences(
         for node in tree.nodes:
             holders.setdefault(node.name, set()).add(j)
     keys_by_name: dict[str, list[tuple[str, ...]]] = {}
-    for iri, tl in translations.items():
-        keys = keys_by_name.setdefault(o1.display_name(o1.entities[iri]), [])
-        keys.extend(map(table.tokens, tl.candidate_keys()))
+    for iri, keys in translations.items():
+        name = o1.display_name(o1.entities[iri])
+        keys_by_name.setdefault(name, []).extend(map(table.tokens, keys))
     rights = _by_length((name, table.tokens(name)) for name in holders)
 
     @cache

@@ -162,6 +162,9 @@ def _cmd_match(args) -> int:
 
     o1 = ontomodel.load_ontology_file(args.onto1)
     o2 = ontomodel.load_ontology_file(args.onto2)
+    for path, onto in ((args.onto1, o1), (args.onto2, o2)):
+        for warning in onto.warnings:
+            print(f"warning: {path}: {warning}", file=sys.stderr)
     if args.store is not None:
         translator = labelkit.DictionaryTranslator(dictstore.open_store(args.store))
     elif args.endpoint is not None:

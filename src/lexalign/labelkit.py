@@ -2,18 +2,17 @@
 
 Ontology labels are frequently concatenated ("dateDePublication",
 "Extrait-Compilation"); tokenize() splits them at lower-to-upper case
-boundaries, hyphens, underscores and spaces. translate_label() looks up
-the whole label and each token, trying the original spelling first and
-the lowercased form second, because dictionary headwords are lowercase
-lemmas. Candidates from different tokens are never recombined into new
-compounds, and inflected forms are not reduced to lemmas; both
-limitations are deliberate and covered by tests.
+boundaries, hyphens, underscores and spaces. translate_label() returns
+a label's matching keys: the translations of the whole label and of
+each token, trying the original spelling first and the lowercased form
+second, because dictionary headwords are lowercase lemmas. Candidates
+from different tokens are never recombined into new compounds, and
+inflected forms are not reduced to lemmas; both limitations are
+deliberate and covered by tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
@@ -31,24 +30,6 @@ class Translator(Protocol):
     word is absent (never a fabricated echo of the input)."""
 
     def translate(self, word: str, from_lang: str, to_lang: str) -> list[str]: ...
-
-
-@dataclass
-class TranslatedLabel:
-    original: str
-    tokens: list[str]
-    whole_label_candidates: list[str]
-    per_token_candidates: list[list[str]]
-    fallback_used: bool
-
-    def candidate_keys(self) -> list[str]:
-        """All strings usable for matching: whole-label candidates, each
-        per-token candidate on its own, and the original when nothing
-        translated. Deduplicated, order of first appearance."""
-        original = [self.original] if self.fallback_used else []
-        return list(
-            dict.fromkeys(chain(self.whole_label_candidates, *self.per_token_candidates, original))
-        )
 
 
 def tokenize(label: str) -> list[str]:
@@ -90,26 +71,15 @@ def _lookup_with_case_fallback(
 
 def translate_label(
     label: str, translator: Translator, from_lang: str, to_lang: str
-) -> TranslatedLabel:
-    """Translate the whole label and each of its tokens.
-
-    When every candidate list comes back empty, the original label is
-    flagged as the matching key (fallback_used), mirroring how untranslatable
-    identifiers such as "isbn" are still usable for exact matching.
-    """
+) -> list[str]:
+    """The label's matching keys: the candidates for the whole label, then
+    each token's, deduplicated in order of first appearance; the label
+    itself when nothing translates, so that "isbn" still matches exactly."""
     tokens = tokenize(label)
-    whole = _lookup_with_case_fallback(translator, label, from_lang, to_lang)
-    per_token = [
-        _lookup_with_case_fallback(translator, token, from_lang, to_lang) for token in tokens
-    ]
-    fallback = not whole and all(not c for c in per_token)
-    return TranslatedLabel(
-        original=label,
-        tokens=tokens,
-        whole_label_candidates=whole,
-        per_token_candidates=per_token,
-        fallback_used=fallback,
-    )
+    keys = _lookup_with_case_fallback(translator, label, from_lang, to_lang)
+    for token in tokens:
+        keys += _lookup_with_case_fallback(translator, token, from_lang, to_lang)
+    return list(dict.fromkeys(keys)) or [label]
 
 
 def token_sequence_match(

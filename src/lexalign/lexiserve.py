@@ -59,6 +59,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PATTERNS = 64
 DEFAULT_TIMEOUT_MS = 5000
+MAX_TIMEOUT_MS = 86_400_000  # one day; socket.settimeout overflows past 2**63 ns
 MAX_BODY_BYTES = 1 << 20  # the longest POST body read; the paper query is ~1 KB
 POLL_INTERVAL_S = 0.05  # how long close() waits at most for the serving loop to notice
 MAX_CONNECTIONS = 64  # connections served at once; each holds a thread while it is open
@@ -102,6 +103,8 @@ class ServiceConfig:
             raise ServiceError("max_query_patterns must be positive")
         if self.request_timeout_ms <= 0:
             raise ServiceError("request_timeout_ms must be positive")
+        if self.request_timeout_ms > MAX_TIMEOUT_MS:
+            raise ServiceError(f"request_timeout_ms must be at most {MAX_TIMEOUT_MS} (one day)")
 
 
 _MAX_LINE = 65536  # the longest first or header line, its end included, as in http.client
@@ -144,8 +147,10 @@ def _read_head(
             raise _BadMessage(f"a header line is longer than {_MAX_LINE} bytes", 431)
         if not line:
             raise _BadMessage("the connection closed inside a message head")
-        name, _, value = line.partition(b":")
-        name = name.strip().lower()
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name.strip() != name:  # RFC 9112 §5.1, §5.2
+            raise _BadMessage(f"malformed header line {line[:80]!r}")
+        name = name.lower()
         if name == b"content-length" and name in headers:
             raise _BadMessage("a repeated Content-Length")  # RFC 9112 §6.3
         headers[name] = value.strip()

@@ -381,10 +381,10 @@ def per_call_name_matcher(threshold: float = 0.9):
 def per_call_translated_matcher(o1, translations, threshold: float):
     """A left name matches a right name when one of its candidate keys does."""
     keys_by_name: dict[str, list[list[str]]] = {}
-    for iri, tl in translations.items():
+    for iri, keys in translations.items():
         name = o1.display_name(o1.entities[iri])
         keys_by_name.setdefault(name, [])
-        for key in tl.candidate_keys():
+        for key in keys:
             keys_by_name[name].append(tokenize(key))
 
     def translated_matcher(a_name: str, b_name: str) -> bool:
@@ -454,7 +454,7 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
             return max(jaro_winkler(a, b), sw_normalized(a, b))
 
     key_tokens = {
-        iri: [tokenize(key) for key in tl.candidate_keys()] for iri, tl in translations.items()
+        iri: [tokenize(key) for key in keys] for iri, keys in translations.items()
     }
     name_tokens2 = {e.iri: tokenize(o2.display_name(e)) for e in o2.entities.values()}
     string_stage = []
@@ -477,7 +477,7 @@ def per_call_align(o1, o2, translator, cfg, thesaurus=None) -> aligner.Alignment
             if (e1.iri, e2.iri) in covered:
                 continue
             best = 0.0
-            for key in translations[e1.iri].candidate_keys():
+            for key in translations[e1.iri]:
                 value = taxsim.lexical_match(thesaurus, " ".join(tokenize(key)), name2[e2.iri])
                 best = max(best, value)
             if best >= cfg.jcn_threshold:

@@ -156,6 +156,34 @@ def test_match_with_static_table(tmp_path, capsys):
     assert "#Film\t" not in text
 
 
+def test_match_reports_ontology_warnings_on_stderr(tmp_path, capsys):
+    def match(onto1, out_path):
+        return run(
+            capsys,
+            "match",
+            str(onto1),
+            str(FIXTURES / "biblio_en.nt"),
+            "--store",
+            str(FIXTURES / "biblio_dict"),
+            *MATCH_OPTIONS,
+            str(out_path),
+        )
+
+    clean = match(FIXTURES / "biblio_fr.nt", tmp_path / "clean.tsv")
+    onto1 = tmp_path / "biblio_fr.nt"
+    lines = (FIXTURES / "biblio_fr.nt").read_text("utf-8").splitlines()
+    lines.append('<http://example.org/x> <http://example.org/unknownPred> "v" .')
+    onto1.write_text("\n".join(lines) + "\n", "utf-8")
+    code, out, err = match(onto1, tmp_path / "warned.tsv")
+    assert clean[2] == ""
+    assert err == (
+        f"warning: {onto1}: line {len(lines)}: "
+        "unknown predicate http://example.org/unknownPred ignored\n"
+    )
+    assert (code, out.replace("warned", "clean")) == clean[:2]
+    assert (tmp_path / "warned.tsv").read_bytes() == (tmp_path / "clean.tsv").read_bytes()
+
+
 def test_usage_error_exit_code_1(capsys):
     assert main(["match", "only-one-arg"]) == 1
     err = capsys.readouterr().err
@@ -414,6 +442,29 @@ def test_serve_subprocess_graceful_shutdown():
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+def test_serve_with_a_timeout_beyond_one_day_is_a_data_error():
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "lexalign.cli",
+            "serve",
+            str(FIXTURES / "idioms_dict"),
+            "--bind",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "100000000000000000000",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2
+    assert "request_timeout_ms must be at most 86400000" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "serving on" not in done.stdout
 
 
 def test_serve_freezes_the_store_it_loads_with_the_collector_paused(monkeypatch):

@@ -65,32 +65,23 @@ def test_tokenize_idempotent_on_its_output():
 
 
 def test_translate_label_universite(dict_translator):
-    tl = translate_label("Université", dict_translator, "fr", "en")
-    assert tl.whole_label_candidates == ["school", "university"]
-    assert tl.fallback_used is False
+    assert translate_label("Université", dict_translator, "fr", "en") == ["school", "university"]
 
 
 def test_translate_label_nomcourt_no_recombination(dict_translator):
-    tl = translate_label("nomCourt", dict_translator, "fr", "en")
-    assert tl.tokens == ["nom", "court"]
-    assert tl.whole_label_candidates == []
-    assert tl.per_token_candidates == [["name", "noun"], ["court", "short"]]
-    keys = tl.candidate_keys()
-    assert "shortname" not in [k.lower().replace(" ", "") for k in keys]
-    assert set(keys) == {"name", "noun", "court", "short"}
+    assert tokenize("nomCourt") == ["nom", "court"]
+    # each token's candidates stand alone: no "short name" is made up
+    keys = translate_label("nomCourt", dict_translator, "fr", "en")
+    assert keys == ["name", "noun", "court", "short"]
 
 
 def test_translate_label_fallback(dict_translator):
-    tl = translate_label("isbn", dict_translator, "fr", "en")
-    assert tl.fallback_used is True
-    assert tl.whole_label_candidates == []
-    assert all(not c for c in tl.per_token_candidates)
-    assert tl.candidate_keys() == ["isbn"]
+    assert translate_label("isbn", dict_translator, "fr", "en") == ["isbn"]
 
 
-def test_candidate_keys_never_empty(dict_translator):
+def test_translate_label_never_empty(dict_translator):
     for label in ("isbn", "Université", "nomCourt", "zzz-unknown"):
-        assert translate_label(label, dict_translator, "fr", "en").candidate_keys()
+        assert translate_label(label, dict_translator, "fr", "en")
 
 
 def test_dictionary_translator_union(biblio_store):
@@ -125,10 +116,8 @@ def test_static_table_rejects_bad_rows(tmp_path):
 
 def test_static_table_drives_translate_label():
     translator = StaticTableTranslator([("fr", "en", "livre", "book")])
-    tl = translate_label("Livre", translator, "fr", "en")
-    assert tl.whole_label_candidates == ["book"]
-    tl2 = translate_label("Inconnu", translator, "fr", "en")
-    assert tl2.fallback_used and tl2.candidate_keys() == ["Inconnu"]
+    assert translate_label("Livre", translator, "fr", "en") == ["book"]
+    assert translate_label("Inconnu", translator, "fr", "en") == ["Inconnu"]
 
 
 def test_endpoint_translator_equals_dictionary_translator(biblio_store):

@@ -291,6 +291,12 @@ _LANG_REQUEST = b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n
 )
 
 
+def _sparql_post(length_line: bytes) -> bytes:
+    """A POST of _LANG_QUERY whose Content-Length is framed by `length_line`."""
+    head = b"POST /sparql HTTP/1.1\r\nConnection: close\r\n" + length_line % len(_LANG_QUERY)
+    return head + b"\r\n\r\n" + _LANG_QUERY
+
+
 @pytest.mark.parametrize(
     "sent",
     [
@@ -462,6 +468,10 @@ def test_responses_that_close_say_so(idioms_store, length, body, status):
         pytest.param(b"GET /stats\r\n\r\n", 400, id="http-0.9-stats"),
         pytest.param(b"GET /stats HTTP/0.9\r\n\r\n", 400, id="http-0.9-named"),
         pytest.param(b"GET /stats HTTP/2.0\r\n\r\n", 505, id="http-2"),
+        pytest.param(_sparql_post(b" Content-Length: %d"), 400, id="obs-folded-length"),
+        pytest.param(_sparql_post(b"Content-Length : %d"), 400, id="space-before-colon"),
+        pytest.param(_sparql_post(b"Content-Length: %d\r\nHost x"), 400, id="no-colon"),
+        pytest.param(_sparql_post(b"Content-Length: %d\r\n: v"), 400, id="empty-name"),
     ],
 )
 def test_http_server_errors_are_json_with_a_status_line(idioms_service, request_bytes, status):
@@ -861,6 +871,9 @@ def test_service_config_validation():
         ServiceConfig(max_query_patterns=0)
     with pytest.raises(ServiceError):
         ServiceConfig(request_timeout_ms=0)
+    with pytest.raises(ServiceError, match="at most 86400000"):
+        ServiceConfig(request_timeout_ms=86_400_001)
+    assert ServiceConfig(request_timeout_ms=86_400_000).request_timeout_ms == 86_400_000
 
 
 def test_request_log_line_is_built_only_at_debug(monkeypatch, idioms_service, caplog):
@@ -977,6 +990,7 @@ _OK = b"HTTP/1.1 200 OK\r\n"
         pytest.param(_OK + b"Content-Length: 2x\r\n\r\n{}", False, ClientTransportError, id="non-numeric-length"),
         pytest.param(_OK + b"Content-Length: -2\r\n\r\n{}", False, ClientTransportError, id="negative-length"),
         pytest.param(_OK + b"Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}", False, ClientTransportError, id="repeated-length"),
+        pytest.param(_OK + b" Content-Length: 2\r\n\r\n{}", False, ClientTransportError, id="obs-folded-length"),
         pytest.param(_OK + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", False, ClientTransportError, id="chunked"),
         pytest.param(_OK + b"Content-Length: 100\r\n\r\n{}", True, ClientTransportError, id="short-body"),
         pytest.param(_OK + b"Content-Length: 99999999999999\r\n\r\n{}", True, ClientTransportError, id="huge-length"),
