@@ -482,7 +482,7 @@ def read_alignment(
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise AlignmentFormatError(f"cannot read alignment {path}: {exc}") from exc
     correspondences = []

@@ -130,7 +130,7 @@ def _cmd_query(args) -> int:
 
     store = dictstore.open_store(args.store)
     try:
-        text = args.query_file.read_text(encoding="utf-8")
+        text = args.query_file.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise LexalignError(f"cannot read query file {args.query_file}: {exc}") from exc
     query = sparqlet.parse_query(text)

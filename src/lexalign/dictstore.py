@@ -68,10 +68,8 @@ class DictionaryStore:
 
     `columns[table, column]` is a tuple of the column's cells in file
     order, and `position[table]` maps each row id to its place in them.
-    `ids[table]` lists a table's row ids, and `index[table, column]` maps
-    each value of a non-key column (int or str) to the ids of the rows
-    holding it. Every id list is in ascending decimal-string order, the
-    byte order of the RDF view's subjects.
+    `index[table, column]` maps each value of a non-key column (int or
+    str) to the ids of the rows holding it, in file order.
     """
 
     def __init__(self, tables: dict[str, tuple[tuple, ...]] | None = None):
@@ -80,7 +78,6 @@ class DictionaryStore:
         tables = tables or {}
         self.columns: dict[tuple[str, str], tuple] = {}
         self.position: dict[str, dict[int, int]] = {}
-        self.ids: dict[str, list[int]] = {}
         self.index: dict[tuple[str, str], dict[int | str, list[int]]] = {}
         for name, schema in SCHEMA.items():
             columns = tables.get(name) or ((),) * len(schema)
@@ -88,11 +85,9 @@ class DictionaryStore:
                 self.columns[name, column] = cells
             key = columns[0]
             self.position[name] = dict(zip(key, range(len(key))))
-            order = sorted(range(len(key)), key=list(map(str, key)).__getitem__)
-            ids = self.ids[name] = list(map(key.__getitem__, order))
             for (column, _), cells in zip(schema[1:], columns[1:]):
                 index = self.index[name, column] = {}
-                for row_id, value in zip(ids, map(cells.__getitem__, order)):
+                for row_id, value in zip(key, cells):
                     index.setdefault(value, []).append(row_id)
 
     def rows(self, table: str) -> Iterator[tuple]:
@@ -159,7 +154,7 @@ class DictionaryStore:
         sources = map(code, map(lp_lang, map(tr_lp, entries)))
         targets = map(code, cols["translation_entry", "lang_id"])
         return StoreStats(
-            entry_count=len(self.ids["lang_pos"]),
+            entry_count=len(self.position["lang_pos"]),
             entries_by_language=dict(Counter(map(code, cols["lang_pos", "lang_id"]))),
             translation_entry_count=len(entries),
             translation_pairs=dict(Counter(zip(sources, targets))),
@@ -284,7 +279,7 @@ def collector_paused() -> Iterator[None]:
 def _tsv_records(path: Path) -> list[list[str]]:
     records = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -326,7 +321,7 @@ def load_snapshot(path: str | Path) -> DictionaryStore:
     """Load a save_snapshot file with the row checks of ingest_tables."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read store snapshot {path}: {exc}") from exc

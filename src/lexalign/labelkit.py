@@ -198,7 +198,7 @@ class StaticTableTranslator:
         rows = []
         path = Path(path)
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_text(encoding="utf-8-sig").splitlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise LabelError(f"cannot read translation table {path}: {exc}") from exc
         for line_no, line in enumerate(lines, start=1):

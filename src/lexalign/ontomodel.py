@@ -231,7 +231,7 @@ def load_ontology(text: str) -> Ontology:
 def load_ontology_file(path: str | Path) -> Ontology:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
     return load_ontology(text)

@@ -116,7 +116,7 @@ def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
     rows: list[tuple[int, Synset, float]] = []
     mode: Optional[str] = None
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ThesaurusError(f"cannot read thesaurus {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):

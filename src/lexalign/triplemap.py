@@ -88,16 +88,15 @@ TABLE_PREDICATES = {
 
 class _Column:
     """One predicate: the store's cells of the column it reads, its table's
-    id -> position map and ids and, unless the column is the table's key,
-    the store's index of the column, the last two in subject byte order.
-    A literal's text is read as the cell type, an int column's through
-    _parse_id; a key literal decodes to its row as a subject IRI does."""
+    id -> position map and, unless the column is the table's key, the
+    store's index of the column, all in file order. A literal's text is
+    read as the cell type, an int column's through _parse_id; a key
+    literal decodes to its row as a subject IRI does."""
 
     def __init__(self, store: DictionaryStore, table: str, column: str, cell_type: type):
         self.cells = store.columns[table, column]
         self.position = store.position[table]
         self.subject_prefix = f"{WIKPA_BASE}{table}/"
-        self.ids = store.ids[table]
         self.values = store.index.get((table, column))  # None for the key, which is not indexed
         self.ints = cell_type is int
 
@@ -113,7 +112,7 @@ class _Column:
         return None if row_id is None else self.position.get(row_id)
 
     def ids_with(self, text: str) -> Sequence[int]:
-        """The ids of the rows whose cell reads `text`, in subject byte order."""
+        """The ids of the rows whose cell reads `text`, in file order."""
         value = _parse_id(text) if self.ints else text
         if self.values is not None:
             return self.values.get(value, ())
@@ -170,8 +169,9 @@ class TableGraph:
         return self._match(s, p, o)
 
     def _match(self, s: Term | None, p: Term, o: Term | None) -> list[Triple]:
-        """lookup() with the predicate bound; already in byte order, since
-        one predicate gives each subject one object."""
+        """lookup() with the predicate bound; sorted by subject alone, since
+        one predicate gives each subject one object, and by each id's
+        decimal string, since a column's subjects share their prefix."""
         column = self._column(p)
         if column is None or (o is not None and not isinstance(o, Literal)):
             return []
@@ -184,9 +184,10 @@ class TableGraph:
                 return [Triple(s, p, Literal(text))]
             return [Triple(s, p, o)] if text == o.text else []
         if o is not None:
-            return [Triple(column.subject(i), p, o) for i in column.ids_with(o.text)]
+            return [Triple(column.subject(i), p, o) for i in sorted(column.ids_with(o.text), key=str)]
         cells, position = column.cells, column.position
-        return [Triple(column.subject(i), p, Literal(str(cells[position[i]]))) for i in column.ids]
+        ids = sorted(position, key=str)
+        return [Triple(column.subject(i), p, Literal(str(cells[position[i]]))) for i in ids]
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None, o: Optional[Term] = None) -> int:
         """len(lookup(s, p, o)); from index and table sizes, building no
@@ -201,7 +202,7 @@ class TableGraph:
             column = self._column(p)
             columns = [column] if column is not None else []
         if o is None:
-            return sum(len(c.ids) for c in columns)
+            return sum(len(c.position) for c in columns)
         return sum(len(c.ids_with(o.text)) for c in columns)
 
 

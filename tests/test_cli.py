@@ -1,3 +1,4 @@
+import codecs
 import gc
 import json
 import shutil
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES
 from lexalign.cli import main
-from lexalign.dictstore import IngestError, load_snapshot
+from lexalign.dictstore import IngestError, ingest_tables, load_snapshot, save_snapshot
 
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -351,6 +352,63 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def _with_bom(source, target):
+    """A copy of a file, or of a directory's files, each prefixed with the
+    UTF-8 byte-order mark."""
+    if source.is_dir():
+        target.mkdir()
+        for path in source.iterdir():
+            _with_bom(path, target / path.name)
+    else:
+        target.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+    return target
+
+
+@pytest.mark.parametrize(
+    "argv, marked",
+    [
+        pytest.param(["query", "{dict}", "{rq}"], "rq", id="query-file"),
+        pytest.param(["query", "{snapshot}", "{rq}"], "snapshot", id="store-snapshot"),
+        pytest.param(["ingest", "{tables}", "-o", "{out}"], "tables", id="ingest-table"),
+        pytest.param(["match", "{fr}", "{en}", "--store", "{dict}", *MATCH], "fr", id="ontology"),
+        pytest.param(
+            ["match", "{fr}", "{en}", "--store", "{dict}", "--thesaurus", "{thesaurus}", *MATCH],
+            "thesaurus",
+            id="thesaurus",
+        ),
+        pytest.param(["match", "{fr}", "{en}", "--table", "{table}", *MATCH], "table", id="translation-table"),
+        pytest.param(["eval", "{ref}", "{reference}"], "ref", id="alignment"),
+    ],
+)
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, argv, marked):
+    snapshot = tmp_path / "store.json"
+    save_snapshot(ingest_tables(FIXTURES / "biblio_dict"), snapshot)
+    table = tmp_path / "table.tsv"  # dropping any one line of static_table.tsv leaves its alignment as it is
+    table.write_text("fr\ten\tÉtablissement\tInstitution\n", "utf-8")
+    names = {
+        "dict": FIXTURES / "biblio_dict",
+        "rq": FIXTURES / "translations_query.rq",
+        "snapshot": snapshot,
+        "tables": FIXTURES / "idioms_dict",
+        "fr": FIXTURES / "biblio_fr.nt",
+        "en": FIXTURES / "biblio_en.nt",
+        "thesaurus": FIXTURES / "mini_thesaurus_ic.tsv",
+        "table": table,
+        "ref": FIXTURES / "reference_alignment.tsv",
+        "reference": FIXTURES / "reference_alignment.tsv",
+    }
+
+    def outcome(names, out):
+        code, stdout, err = run(capsys, *(arg.format(out=out, **names) for arg in argv))
+        written = out.read_bytes() if out.exists() else None
+        return code, stdout.replace(str(out), "OUT"), err.replace(str(names[marked]), "IN"), written
+
+    plain = outcome(names, tmp_path / "plain-out")
+    assert plain[0] == 0
+    marked_path = _with_bom(names[marked], tmp_path / f"bom-{names[marked].name}")
+    assert outcome({**names, marked: marked_path}, tmp_path / "bom-out") == plain
+
+
 def test_translate_without_store_or_endpoint_is_usage_error(capsys):
     assert main(["translate", "word", "--from", "fr", "--to", "en"]) == 1
 
@@ -493,7 +551,7 @@ def test_serve_freezes_the_store_it_loads_with_the_collector_paused(monkeypatch)
 
         def wait(self):
             seen["serving"] = gc.isenabled()
-            built = (seen["store"].ids["page"], seen["handle"]._server.triples)
+            built = (seen["store"].position, seen["handle"]._server.triples)
             held = {id(o) for o in gc.get_objects()}  # frozen objects are not listed
             seen["walked"] = [(gc.is_tracked(o), id(o) in held) for o in built]
 

@@ -14,6 +14,7 @@ from lexalign.dictstore import (
     load_snapshot,
     save_snapshot,
 )
+from lexalign.triplemap import WIKPA_BASE, Iri, Literal, to_triples
 
 IDIOMS = FIXTURES / "idioms_dict"
 BIBLIO = FIXTURES / "biblio_dict"
@@ -60,7 +61,7 @@ def test_ingest_row_counts_match_files():
     store = ingest_tables(IDIOMS)
     raw = _read_raw(IDIOMS)
     for name in TABLE_NAMES:
-        assert len(store.ids[name]) == len(raw[name]), name
+        assert len(store.position[name]) == len(raw[name]), name
 
 
 def test_single_language_fixture(tmp_path):
@@ -261,12 +262,29 @@ def test_a_load_keeps_file_order(tmp_path):
     save_snapshot(store, tmp_path / "out.json")
     assert (tmp_path / "out.json").read_bytes() == path.read_bytes()
     assert list(store.stats().entries_by_language.items()) == [("sv", 2), ("en", 1)]
-    for name in TABLE_NAMES:  # ids and indexes in subject byte order
-        assert store.ids[name] == sorted((row[0] for row in FILE_ORDER[name]), key=str), name
-    assert store.index["lang_pos", "page_id"] == {10: [10], 9: [11, 9]}
-    assert store.index["lang_pos", "lang_id"] == {10: [10], 9: [11, 9]}
+    for name in TABLE_NAMES:
+        assert list(store.position[name]) == [row[0] for row in FILE_ORDER[name]], name
+    assert list(store.index["lang_pos", "page_id"].items()) == [(9, [9, 11]), (10, [10])]
+    assert list(store.index["lang_pos", "lang_id"].items()) == [(9, [9, 11]), (10, [10])]
     assert store.translations("rain", "en", "sv") == ["ösregna"]
     assert store.reverse_translations("rain", "en", "sv") == ["ösregna"]
+
+
+def test_the_view_sorts_subjects_the_store_keeps_in_file_order(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(_snapshot_text(FILE_ORDER), "utf-8")
+    store = load_snapshot(path)
+    assert store.index["lang_pos", "page_id"][9] == [9, 11]  # file order, not byte order
+    view = to_triples(store)
+    page_id = Iri(WIKPA_BASE + "lang_pos_page_id")
+
+    def subjects(*ids):
+        return [WIKPA_BASE + f"lang_pos/{i}" for i in ids]
+
+    assert [t.subject.value for t in view.lookup(None, page_id, Literal("9"))] == subjects(11, 9)
+    assert [t.subject.value for t in view.lookup(None, page_id, None)] == subjects(10, 11, 9)
+    assert view.count(None, page_id, Literal("9")) == 2
+    assert view.count(None, page_id, None) == 3
 
 
 @pytest.mark.parametrize("source", ["snapshot", "tables"])

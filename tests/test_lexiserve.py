@@ -601,7 +601,7 @@ def test_client_lookups_share_one_connection(biblio_store, accepts, attempts):
             assert client_reverse_translate(
                 handle.endpoint, title, "en", "fr"
             ) == biblio_store.reverse_translations(title, "en", "fr")
-    assert attempts[0] == 2 * len(biblio_store.ids["page"]) > 2
+    assert attempts[0] == 2 * len(biblio_store.position["page"]) > 2
     assert accepts[0] == 1
 
 

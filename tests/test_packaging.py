@@ -1,5 +1,5 @@
 """The package has no runtime dependencies: it imports only the standard
-library and itself."""
+library and itself, and it parses under the oldest Python it declares."""
 
 import ast
 import sys
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "lexalign").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "lexalign").glob("*.py"))
+OLDEST_PYTHON = (3, 10)
 
 
 def _absolute_imports(tree: ast.AST) -> list[str]:
@@ -33,3 +35,9 @@ def test_imports_only_the_standard_library_and_the_package(path):
         if name.partition(".")[0] not in sys.stdlib_module_names | {"lexalign"}
     ]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_parses_as_the_oldest_python_declared(path):
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in (ROOT / "pyproject.toml").read_text("utf-8")
+    ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)

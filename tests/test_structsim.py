@@ -70,6 +70,16 @@ def test_expand_tree_weight_sum():
     assert tree.total_weight() == 2 * 3 + 2 * 2
 
 
+def test_expand_tree_weighs_levels_3_2_1_and_stops_at_3():
+    onto = build(
+        EX1,
+        classes=["Root", "A", "A1", "A2", "A3"],
+        subclasses=[("A", "Root"), ("A1", "A"), ("A2", "A1"), ("A3", "A2")],
+    )
+    tree = expand_tree(onto, onto.entity(EX1 + "Root"))
+    assert [(n.name, n.level, n.weight) for n in tree.nodes] == [("A", 1, 3), ("A1", 2, 2), ("A2", 3, 1)]
+
+
 def test_expand_tree_weights_follow_config(onto_fr, onto_en):
     for onto in (onto_fr, onto_en):
         for cls in onto.classes():
