@@ -28,7 +28,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 from .labelkit import Translator, token_sequence_match, tokenize, translate_label
 from .ontomodel import EntityId, Kind, Ontology
 from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
@@ -481,10 +481,7 @@ def read_alignment(
     is all evaluation needs.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise AlignmentFormatError(f"cannot read alignment {path}: {exc}") from exc
+    lines = read_text(path, "alignment", AlignmentFormatError).split("\n")
     correspondences = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():

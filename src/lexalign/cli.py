@@ -24,7 +24,7 @@ from pathlib import Path
 
 # serving needs only these two; each other command imports what it uses
 from . import dictstore, lexiserve
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,12 +128,8 @@ def _cmd_serve(args) -> int:
 def _cmd_query(args) -> int:
     from . import sparqlet, triplemap
 
+    query = sparqlet.parse_query(read_text(args.query_file, "query file", LexalignError))
     store = dictstore.open_store(args.store)
-    try:
-        text = args.query_file.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LexalignError(f"cannot read query file {args.query_file}: {exc}") from exc
-    query = sparqlet.parse_query(text)
     table = sparqlet.evaluate(query, triplemap.to_triples(store))
     print("\t".join(f"?{name}" for name in table.header))
     for row in table.rows:
@@ -213,10 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LexalignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (LexalignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

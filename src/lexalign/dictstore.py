@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 
 
 class DictionaryError(LexalignError):
@@ -277,16 +277,14 @@ def collector_paused() -> Iterator[None]:
 
 
 def _tsv_records(path: Path) -> list[list[str]]:
+    lines = read_text(path, "table", IngestError).split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line end adds no line, and an empty file has none
     records = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    raise IngestError(f"{path.name}:{line_no}: blank line")
-                records.append(line.split("\t"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read table {path}: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            raise IngestError(f"{path.name}:{line_no}: blank line")
+        records.append(line.split("\t"))
     return records
 
 
@@ -321,9 +319,8 @@ def load_snapshot(path: str | Path) -> DictionaryStore:
     """Load a save_snapshot file with the row checks of ingest_tables."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = json.loads(read_text(path, "store snapshot", IngestError))
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, or too deep
         raise IngestError(f"cannot read store snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise IngestError(f"malformed store snapshot {path}: not a JSON object")

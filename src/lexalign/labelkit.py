@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .dictstore import DictionaryStore
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 from .lexiserve import client_reverse_translate, client_translate
 
 
@@ -197,10 +197,7 @@ class StaticTableTranslator:
     def from_file(cls, path: str | Path) -> "StaticTableTranslator":
         rows = []
         path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8-sig").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise LabelError(f"cannot read translation table {path}: {exc}") from exc
+        lines = read_text(path, "translation table", LabelError).split("\n")
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

@@ -599,7 +599,7 @@ def _request_json(url: str, timeout_ms: int, body: Optional[bytes] = None) -> di
         raise ClientStatusError(status, detail or reason)
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past the digit limit, or too deep
         raise ClientPayloadError(f"malformed JSON from {url}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ClientPayloadError(f"unexpected JSON shape from {url}")

@@ -16,7 +16,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDFS_SUBCLASS_OF = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
@@ -132,7 +132,7 @@ def load_ontology(text: str) -> Ontology:
     """Parse the N-Triples subset and build a checked Ontology."""
     triples: list[tuple[int, str, str, str, bool]] = []
     onto = Ontology()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,9 +229,4 @@ def load_ontology(text: str) -> Ontology:
 
 
 def load_ontology_file(path: str | Path) -> Ontology:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
-    return load_ontology(text)
+    return load_ontology(read_text(Path(path), "ontology", OntologyError))

@@ -20,7 +20,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional
 
-from .errors import LexalignError
+from .errors import LexalignError, read_text
 
 JCN_MAX = 1e9
 DENOM_EPS = 1e-9
@@ -115,10 +115,7 @@ def lexical_match(thesaurus: Thesaurus, w1: str, w2: str) -> float:
 def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
     rows: list[tuple[int, Synset, float]] = []
     mode: Optional[str] = None
-    try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ThesaurusError(f"cannot read thesaurus {path}: {exc}") from exc
+    lines = read_text(path, "thesaurus", ThesaurusError).split("\n")
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue

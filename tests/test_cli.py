@@ -409,6 +409,83 @@ def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, argv, m
     assert outcome({**names, marked: marked_path}, tmp_path / "bom-out") == plain
 
 
+_UNKNOWN_TRIPLE = '<http://example.org/x> <http://example.org/unknownPred> "v" .'
+
+
+# str.splitlines() breaks a line at U+2028, U+0085 and a form feed; no file format does
+@pytest.mark.parametrize(
+    "argv, doctored, old, new, err",
+    [
+        pytest.param(
+            ["match", "{in}/biblio_fr.nt", "{in}/biblio_en.nt", "--store", "{in}/biblio_dict", *MATCH],
+            "biblio_fr.nt",
+            '"Film" .\n',
+            f'"F\u2028i\x85l\fm" .\n{_UNKNOWN_TRIPLE}\n',
+            "warning: {in}/biblio_fr.nt: line 4: unknown predicate http://example.org/unknownPred ignored\n",
+            id="ontology-label",
+        ),
+        pytest.param(
+            ["match", "{in}/biblio_fr.nt", "{in}/biblio_en.nt", "--store", "{in}/biblio_dict",
+             "--thesaurus", "{in}/mini_thesaurus_ic.tsv", *MATCH],
+            "mini_thesaurus_ic.tsv",
+            "|grouping\t",
+            "|grou\u2028p\x85i\fng\t",
+            "",
+            id="thesaurus-word",
+        ),
+        pytest.param(
+            ["match", "{in}/biblio_fr.nt", "{in}/biblio_en.nt", "--table", "{in}/static_table.tsv", *MATCH],
+            "static_table.tsv",
+            "\tShortname\n",
+            "\tShort\u2028n\x85am\fe\n",
+            "",
+            id="translation-table-word",
+        ),
+        pytest.param(
+            ["ingest", "{in}/idioms_dict", "-o", "{out}"],
+            "idioms_dict/wiki_text.tsv",
+            "des cordes",
+            "des\u2028\x85\fcordes",
+            "",
+            id="dictionary-table-cell",
+        ),
+    ],
+)
+def test_line_separators_inside_a_cell_or_literal_stay_there(tmp_path, capsys, argv, doctored, old, new, err):
+    names = {"in": tmp_path / "in", "out": tmp_path / "out"}
+    shutil.copytree(FIXTURES, names["in"])
+    path = names["in"] / doctored
+    text = path.read_text("utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), "utf-8")
+    code, _, stderr = run(capsys, *(arg.format(**names) for arg in argv))
+    assert (code, stderr) == (0, err.format(**names))
+
+
+def test_query_reads_its_query_file_before_the_store(tmp_path, capsys):
+    store, query = tmp_path / "no-store.json", tmp_path / "no-query.rq"
+    code, out, err = run(capsys, "query", str(store), str(query))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read query file {query}: ")
+    assert str(store) not in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param('{"page": [[' + "9" * 5000 + ', "x"]]}', id="5000-digit-integer"),
+        pytest.param("[" * 200_000 + "]" * 200_000, id="200000-nested-arrays"),
+    ],
+)
+def test_snapshot_json_cannot_decode_is_a_data_error(tmp_path, capsys, body):
+    path = tmp_path / "store.json"
+    path.write_text(body, "utf-8")
+    code, out, err = run(capsys, "translate", str(path), "word", "--from", "en", "--to", "fr")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read store snapshot {path}: ")
+    assert "Traceback" not in err
+
+
 def test_translate_without_store_or_endpoint_is_usage_error(capsys):
     assert main(["translate", "word", "--from", "fr", "--to", "en"]) == 1
 

@@ -978,6 +978,10 @@ class _RawServer:
 _OK = b"HTTP/1.1 200 OK\r\n"
 
 
+def _json_reply(body):
+    return _OK + b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
 @pytest.mark.parametrize(
     "reply, close, error",
     [
@@ -995,6 +999,8 @@ _OK = b"HTTP/1.1 200 OK\r\n"
         pytest.param(_OK + b"Content-Length: 100\r\n\r\n{}", True, ClientTransportError, id="short-body"),
         pytest.param(_OK + b"Content-Length: 99999999999999\r\n\r\n{}", True, ClientTransportError, id="huge-length"),
         pytest.param(_OK + b"Content-Length: 8\r\n\r\nnot json", False, ClientPayloadError, id="not-json"),
+        pytest.param(_json_reply(b"[" + b"9" * 5000 + b"]"), False, ClientPayloadError, id="5000-digit-integer"),
+        pytest.param(_json_reply(b"[" * 200_000 + b"]" * 200_000), False, ClientPayloadError, id="200000-nested-arrays"),
     ],
 )
 def test_client_meets_a_hostile_server_with_an_error_and_recovers(reply, close, error, caplog, capsys):

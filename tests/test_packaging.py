@@ -41,3 +41,16 @@ def test_imports_only_the_standard_library_and_the_package(path):
 def test_parses_as_the_oldest_python_declared(path):
     assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in (ROOT / "pyproject.toml").read_text("utf-8")
     ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_only_errors_py_decides_how_an_input_file_is_read():
+    # one encoding and one line rule: each reader calls errors.read_text and splits at "\n"
+    forks = [
+        f"{path.name}:{line_no}"
+        for path in SOURCES
+        if path.name != "errors.py"
+        for line_no, line in enumerate(path.read_text("utf-8").split("\n"), start=1)
+        if "splitlines(" in line or '"utf-8-sig"' in line
+    ]
+    assert not forks, f"read input files through errors.read_text: {forks}"
+    assert '"utf-8-sig"' in (ROOT / "src" / "lexalign" / "errors.py").read_text("utf-8")
