@@ -36,21 +36,25 @@ class UnknownLanguageError(DictionaryError):
         self.code = code
 
 
-# table name -> its columns in file order, as (column, cell type); the
-# first column is the table's key
-SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
-    "language": (("lang_id", int), ("lang_code", str), ("lang_name", str)),
-    "page": (("page_id", int), ("page_title", str)),
-    "lang_pos": (("lang_pos_id", int), ("page_id", int), ("lang_id", int)),
-    "meaning": (("meaning_id", int), ("lang_pos_id", int)),
-    "translation": (("translation_id", int), ("lang_pos_id", int), ("meaning_id", int)),
-    "translation_entry": (
-        ("translation_entry_id", int),
-        ("translation_id", int),
-        ("lang_id", int),
-        ("wiki_text_id", int),
+# table name -> its columns in file order, as (column, cell type, the
+# table the column references or None); the first column is the table's key
+SCHEMA: dict[str, tuple[tuple[str, type, str | None], ...]] = {
+    "language": (("lang_id", int, None), ("lang_code", str, None), ("lang_name", str, None)),
+    "page": (("page_id", int, None), ("page_title", str, None)),
+    "lang_pos": (("lang_pos_id", int, None), ("page_id", int, "page"), ("lang_id", int, "language")),
+    "meaning": (("meaning_id", int, None), ("lang_pos_id", int, "lang_pos")),
+    "translation": (
+        ("translation_id", int, None),
+        ("lang_pos_id", int, "lang_pos"),
+        ("meaning_id", int, "meaning"),
     ),
-    "wiki_text": (("wiki_text_id", int), ("text", str)),
+    "translation_entry": (
+        ("translation_entry_id", int, None),
+        ("translation_id", int, "translation"),
+        ("lang_id", int, "language"),
+        ("wiki_text_id", int, "wiki_text"),
+    ),
+    "wiki_text": (("wiki_text_id", int, None), ("text", str, None)),
 }
 TABLE_NAMES = tuple(SCHEMA)
 
@@ -81,18 +85,18 @@ class DictionaryStore:
         self.index: dict[tuple[str, str], dict[int | str, list[int]]] = {}
         for name, schema in SCHEMA.items():
             columns = tables.get(name) or ((),) * len(schema)
-            for (column, _), cells in zip(schema, columns, strict=True):
+            for (column, _, _), cells in zip(schema, columns, strict=True):
                 self.columns[name, column] = cells
             key = columns[0]
             self.position[name] = dict(zip(key, range(len(key))))
-            for (column, _), cells in zip(schema[1:], columns[1:]):
+            for (column, _, _), cells in zip(schema[1:], columns[1:]):
                 index = self.index[name, column] = {}
                 for row_id, value in zip(key, cells):
                     index.setdefault(value, []).append(row_id)
 
     def rows(self, table: str) -> Iterator[tuple]:
         """The rows of `table` as tuples of cells, in file order."""
-        return zip(*(self.columns[table, column] for column, _ in SCHEMA[table]))
+        return zip(*(self.columns[table, column] for column, _, _ in SCHEMA[table]))
 
     def _cell(self, table: str, column: str, row_id: int) -> int | str:
         return self.columns[table, column][self.position[table][row_id]]
@@ -161,8 +165,10 @@ class DictionaryStore:
         )
 
     def verify_integrity(self) -> None:
-        """Full-scan referential integrity check; raises IngestError on the
-        first violation, in file order within each table."""
+        """Full-scan integrity check; raises IngestError on the first
+        violation, in file order within each table. SCHEMA's references
+        are checked a column at a time, and a table's rows are scanned
+        only to name the first fault of a table that has one."""
         codes: set[str] = set()
         for lang_id, lang_code, _ in self.rows("language"):
             if not lang_code:
@@ -170,39 +176,34 @@ class DictionaryStore:
             if lang_code in codes:
                 raise IngestError(f"language {lang_id}: duplicate code {lang_code!r}")
             codes.add(lang_code)
-        for page_id, title in self.rows("page"):
-            if not title:
-                raise IngestError(f"page {page_id}: empty page_title")
-        for text_id, text in self.rows("wiki_text"):
-            if not text:
-                raise IngestError(f"wiki_text {text_id}: empty text")
-        pos = self.position
-        for lp_id, page_id, lang_id in self.rows("lang_pos"):
-            if page_id not in pos["page"]:
-                raise IngestError(f"lang_pos {lp_id}: unknown page_id {page_id}")
-            if lang_id not in pos["language"]:
-                raise IngestError(f"lang_pos {lp_id}: unknown lang_id {lang_id}")
-        for meaning_id, lp_id in self.rows("meaning"):
-            if lp_id not in pos["lang_pos"]:
-                raise IngestError(f"meaning {meaning_id}: unknown lang_pos_id {lp_id}")
-        for tr_id, lp_id, meaning_id in self.rows("translation"):
-            if lp_id not in pos["lang_pos"]:
-                raise IngestError(f"translation {tr_id}: unknown lang_pos_id {lp_id}")
-            if meaning_id not in pos["meaning"]:
-                raise IngestError(f"translation {tr_id}: unknown meaning_id {meaning_id}")
-            owner = self._cell("meaning", "lang_pos_id", meaning_id)
-            if owner != lp_id:
-                raise IngestError(
-                    f"translation {tr_id}: meaning {meaning_id} belongs to "
-                    f"lang_pos {owner}, not {lp_id}"
-                )
-        for entry_id, tr_id, lang_id, text_id in self.rows("translation_entry"):
-            if tr_id not in pos["translation"]:
-                raise IngestError(f"translation_entry {entry_id}: unknown translation_id {tr_id}")
-            if lang_id not in pos["language"]:
-                raise IngestError(f"translation_entry {entry_id}: unknown lang_id {lang_id}")
-            if text_id not in pos["wiki_text"]:
-                raise IngestError(f"translation_entry {entry_id}: unknown wiki_text_id {text_id}")
+        pos, index, cols = self.position, self.index, self.columns
+        for table, column in (("page", "page_title"), ("wiki_text", "text")):
+            empty = index[table, column].get("")  # the ids of the empty cells, in file order
+            if empty:
+                raise IngestError(f"{table} {empty[0]}: empty {column}")
+        owner, at = cols["meaning", "lang_pos_id"], pos["meaning"]
+        for table, schema in SCHEMA.items():
+            if not all(index[table, c].keys() <= pos[t].keys() for c, _, t in schema if t) or (
+                # each translation's meaning belongs to the translation's lang_pos
+                table == "translation"
+                and [owner[at[m]] for m in cols[table, "meaning_id"]] != list(cols[table, "lang_pos_id"])
+            ):
+                self._raise_first_faulty_row(table)
+
+    def _raise_first_faulty_row(self, table: str) -> None:
+        """Raise IngestError for the first row of `table` with a dangling
+        reference or, in translation, another lang_pos's meaning."""
+        schema, pos = SCHEMA[table], self.position
+        for row in self.rows(table):
+            for (column, _, target), value in zip(schema, row):
+                if target and value not in pos[target]:
+                    raise IngestError(f"{table} {row[0]}: unknown {column} {value}")
+            if table == "translation":
+                tr_id, lp_id, meaning_id = row
+                owner = self._cell("meaning", "lang_pos_id", meaning_id)
+                if owner != lp_id:
+                    fault = f"meaning {meaning_id} belongs to lang_pos {owner}, not {lp_id}"
+                    raise IngestError(f"translation {tr_id}: {fault}")
 
 
 def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> tuple[tuple, ...]:
@@ -223,7 +224,7 @@ def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> tu
     if set(map(type, records)) - {list} or set(map(len, records)) - {len(schema)}:
         _raise_first_fault(schema, records, where)
     columns = tuple(zip(*records)) or ((),) * len(schema)
-    if any(set(map(type, cells)) - {t} for (_, t), cells in zip(schema, columns)):
+    if any(set(map(type, cells)) - {t} for (_, t, _), cells in zip(schema, columns)):
         _raise_first_fault(schema, records, where)
     key = columns[0]
     if len(set(key)) != len(key):
@@ -235,29 +236,32 @@ def parse_rows(name: str, records: list, where: str, *, text: bool = True) -> tu
     return columns
 
 
-def _parse_ints(cells: list[str], schema: tuple[tuple[str, type], ...]) -> list:
-    """Text cells with each integer column parsed; a cell that is no
-    integer, or a row of the wrong length, is left for the checks."""
+def _parse_ints(cells: list[str], schema: tuple[tuple[str, type, str | None], ...]) -> list:
+    """Text cells with each integer column parsed; a cell that spells no
+    id, or a row of the wrong length, is left for the checks."""
     if len(cells) != len(schema):
         return cells
-    return [_parse_int(v) if t is int else v for v, (_, t) in zip(cells, schema)]
+    return [parse_id(v) if t is int else v for v, (_, t, _) in zip(cells, schema)]
 
 
-def _parse_int(value: str) -> int | str:
+def parse_id(text: str) -> int | str:
+    """The id `text` spells, or `text` if it spells none: one spelling per
+    id, so "05", "+5", " 5", "1_0" and "٥" spell none."""
     try:
-        return int(value)
+        row_id = int(text)
     except ValueError:
-        return value
+        return text
+    return row_id if str(row_id) == text else text
 
 
-def _raise_first_fault(schema: tuple[tuple[str, type], ...], records: list, where: str) -> None:
+def _raise_first_fault(schema: tuple[tuple[str, type, str | None], ...], records: list, where: str) -> None:
     """Raise IngestError for the first record that is no list of
     len(schema) cells of the declared types."""
     for i, cells in enumerate(records, start=1):
         if type(cells) is not list or len(cells) != len(schema):
             got = len(cells) if type(cells) is list else repr(cells)
             raise IngestError(f"{where}{i}: expected {len(schema)} columns, got {got}")
-        for (column, t), value in zip(schema, cells):
+        for (column, t, _), value in zip(schema, cells):
             if type(value) is not t:
                 kind = "an integer" if t is int else "a string"
                 raise IngestError(f"{where}{i}: {column} is not {kind}: {value!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .dictstore import SCHEMA, DictionaryStore
+from .dictstore import SCHEMA, DictionaryStore, parse_id
 from .errors import LexalignError
 
 WIKPA_PREFIX = "wikpa"
@@ -69,28 +69,11 @@ def _sort_key(triple: Triple) -> tuple[str, str, str]:
     return (triple.subject.value, triple.predicate.value, triple.object.text)
 
 
-# column order mirrors the TSV files
-TABLE_PREDICATES = {
-    "language": ("lang_id", "lang_code", "lang_name"),
-    "page": ("page_id", "page_page_title"),
-    "lang_pos": ("lang_pos_id", "lang_pos_page_id", "lang_pos_lang_id"),
-    "meaning": ("meaning_id", "meaning_lang_pos_id"),
-    "translation": ("translation_id", "translation_lang_pos_id", "translation_meaning_id"),
-    "translation_entry": (
-        "translation_entry_id",
-        "translation_entry_translation_id",
-        "translation_entry_lang_id",
-        "translation_entry_wiki_text_id",
-    ),
-    "wiki_text": ("wiki_text_id", "wiki_text_text"),
-}
-
-
 class _Column:
     """One predicate: the store's cells of the column it reads, its table's
     id -> position map and, unless the column is the table's key, the
     store's index of the column, all in file order. A literal's text is
-    read as the cell type, an int column's through _parse_id; a key
+    read as the cell type, an int column's through parse_id; a key
     literal decodes to its row as a subject IRI does."""
 
     def __init__(self, store: DictionaryStore, table: str, column: str, cell_type: type):
@@ -108,24 +91,14 @@ class _Column:
         in this table."""
         if not isinstance(subject, Iri) or not subject.value.startswith(self.subject_prefix):
             return None
-        row_id = _parse_id(subject.value[len(self.subject_prefix) :])
-        return None if row_id is None else self.position.get(row_id)
+        return self.position.get(parse_id(subject.value[len(self.subject_prefix) :]))
 
     def ids_with(self, text: str) -> Sequence[int]:
         """The ids of the rows whose cell reads `text`, in file order."""
-        value = _parse_id(text) if self.ints else text
+        value = parse_id(text) if self.ints else text
         if self.values is not None:
             return self.values.get(value, ())
         return (value,) if value in self.position else ()
-
-
-def _parse_id(text: str) -> int | None:
-    """The id `text` spells; one spelling per id, so "01", "+1" and " 1" spell none."""
-    try:
-        row_id = int(text)
-    except ValueError:
-        return None
-    return row_id if str(row_id) == text else None
 
 
 class TableGraph:
@@ -142,8 +115,10 @@ class TableGraph:
     def __init__(self, store: DictionaryStore):
         self._columns: dict[str, _Column] = {}  # predicate IRI -> column
         for table, schema in SCHEMA.items():
-            for pred_name, (column, cell_type) in zip(TABLE_PREDICATES[table], schema, strict=True):
-                self._columns[WIKPA_BASE + pred_name] = _Column(store, table, column, cell_type)
+            for i, (column, cell_type, _) in enumerate(schema):
+                # the paper's D2R names, such as wikpa:lang_code and wikpa:page_page_title
+                name = column if i == 0 or table == "language" else f"{table}_{column}"
+                self._columns[WIKPA_BASE + name] = _Column(store, table, column, cell_type)
 
     def __len__(self) -> int:
         return self.count()

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from lexalign import aligner, dictstore, labelkit, ontomodel, structsim, taxsim, triplemap
+from lexalign.dictstore import IngestError
 from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SW_GAP, SW_MATCH, SW_MISMATCH, jaro_winkler, sw_normalized
@@ -186,6 +187,52 @@ def store_of(records: dict[str, list[list]], *, text: bool = False) -> dictstore
     return dictstore.DictionaryStore(
         {name: dictstore.parse_rows(name, rows, f"{name} row ", text=text) for name, rows in records.items()}
     )
+
+
+def reference_verify_integrity(store: dictstore.DictionaryStore) -> None:
+    """DictionaryStore.verify_integrity as one hand-written loop per table,
+    every row checked in file order: the version the SCHEMA-driven check
+    replaced, kept as its reference."""
+    codes: set[str] = set()
+    for lang_id, lang_code, _ in store.rows("language"):
+        if not lang_code:
+            raise IngestError(f"language {lang_id}: empty lang_code")
+        if lang_code in codes:
+            raise IngestError(f"language {lang_id}: duplicate code {lang_code!r}")
+        codes.add(lang_code)
+    for page_id, title in store.rows("page"):
+        if not title:
+            raise IngestError(f"page {page_id}: empty page_title")
+    for text_id, text in store.rows("wiki_text"):
+        if not text:
+            raise IngestError(f"wiki_text {text_id}: empty text")
+    pos = store.position
+    for lp_id, page_id, lang_id in store.rows("lang_pos"):
+        if page_id not in pos["page"]:
+            raise IngestError(f"lang_pos {lp_id}: unknown page_id {page_id}")
+        if lang_id not in pos["language"]:
+            raise IngestError(f"lang_pos {lp_id}: unknown lang_id {lang_id}")
+    for meaning_id, lp_id in store.rows("meaning"):
+        if lp_id not in pos["lang_pos"]:
+            raise IngestError(f"meaning {meaning_id}: unknown lang_pos_id {lp_id}")
+    for tr_id, lp_id, meaning_id in store.rows("translation"):
+        if lp_id not in pos["lang_pos"]:
+            raise IngestError(f"translation {tr_id}: unknown lang_pos_id {lp_id}")
+        if meaning_id not in pos["meaning"]:
+            raise IngestError(f"translation {tr_id}: unknown meaning_id {meaning_id}")
+        owner = store._cell("meaning", "lang_pos_id", meaning_id)
+        if owner != lp_id:
+            raise IngestError(
+                f"translation {tr_id}: meaning {meaning_id} belongs to "
+                f"lang_pos {owner}, not {lp_id}"
+            )
+    for entry_id, tr_id, lang_id, text_id in store.rows("translation_entry"):
+        if tr_id not in pos["translation"]:
+            raise IngestError(f"translation_entry {entry_id}: unknown translation_id {tr_id}")
+        if lang_id not in pos["language"]:
+            raise IngestError(f"translation_entry {entry_id}: unknown lang_id {lang_id}")
+        if text_id not in pos["wiki_text"]:
+            raise IngestError(f"translation_entry {entry_id}: unknown wiki_text_id {text_id}")
 
 
 def print_query(query: Query) -> str:

@@ -3,11 +3,14 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, store_of
+from conftest import FIXTURES, oracle_triples, reference_verify_integrity, store_of
 from lexalign import dictstore
 from lexalign.dictstore import (
     IngestError,
+    SCHEMA,
     TABLE_NAMES,
     UnknownLanguageError,
     ingest_tables,
@@ -124,6 +127,19 @@ def test_duplicate_key_rejected(tmp_path):
         ingest_tables(tmp_path)
 
 
+@pytest.mark.parametrize("spelling", ["05", "+5", " 5", "1_0", "٥", "-3"])
+def test_an_id_has_one_spelling(tmp_path, spelling):
+    _write_tables(tmp_path, {"page": [(1, "cat"), (spelling, "dog")]})
+    if spelling == "-3":
+        store = ingest_tables(tmp_path)
+        assert list(store.rows("page")) == [(1, "cat"), (-3, "dog")]
+        assert to_triples(store).lookup() == oracle_triples(tmp_path)
+    else:
+        message = f"page.tsv:2: page_id is not an integer: {spelling!r}"
+        with pytest.raises(IngestError, match=re.escape(message) + "$"):
+            ingest_tables(tmp_path)
+
+
 def test_meaning_lang_pos_mismatch_rejected(tmp_path):
     _write_tables(
         tmp_path,
@@ -227,6 +243,73 @@ def test_integrity_catches_doctored_store(idioms_store):
     broken = store_of(records)
     with pytest.raises(IngestError, match="unknown page_id 999"):
         broken.verify_integrity()
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ({"language": [[1, "en", "English"], [3, "", "x"], [2, "", "y"]]}, "language 3: empty lang_code"),
+        ({"language": [[1, "en", "English"], [3, "en", "x"]]}, "language 3: duplicate code 'en'"),
+        ({"page": [[1, "cat"], [3, ""], [2, ""]]}, "page 3: empty page_title"),
+        ({"wiki_text": [[1, "chat"], [3, ""], [2, ""]]}, "wiki_text 3: empty text"),
+    ],
+)
+def test_each_text_check_names_the_first_faulty_row(records, message):
+    with pytest.raises(IngestError, match=re.escape(message) + "$"):
+        store_of(records).verify_integrity()
+
+
+@st.composite
+def small_stores(draw):
+    """Records of 0-4 rows per table: unique keys in shuffled order, other
+    int cells (all of them references) from 1-5, text cells from "", "a", "b"."""
+    records = {}
+    for name, schema in SCHEMA.items():
+        keys = draw(st.permutations(range(1, 6)))[: draw(st.integers(0, 4))]
+        cells = [st.integers(1, 5) if t is int else st.sampled_from(["", "a", "b"]) for _, t, _ in schema[1:]]
+        records[name] = [[key] + [draw(cell) for cell in cells] for key in keys]
+    return records
+
+
+def _fault(check, store):
+    try:
+        check(store)
+    except IngestError as exc:
+        return str(exc)
+    return None
+
+
+def _variants(records):
+    """The records as drawn, and then, since few drawn stores get past the
+    first checks, stores that do: each text cell becomes its row's key in
+    decimal, and then, table by table, each reference v becomes the
+    (v mod n)-th of its target's n keys (a row whose target is empty is
+    dropped). A store is yielded before each table's references are
+    resolved, and one after the last."""
+    yield records
+    resolved = {
+        name: [[row[0]] + [str(row[0]) if type(c) is str else c for c in row[1:]] for row in rows]
+        for name, rows in records.items()
+    }
+    for name, schema in SCHEMA.items():
+        keys = {t: [row[0] for row in resolved[t]] for _, _, t in schema if t}
+        if keys:
+            yield dict(resolved)
+            resolved[name] = [
+                [v if t is None else keys[t][v % len(keys[t])] for (_, _, t), v in zip(schema, row)]
+                for row in resolved[name]
+                if all(keys.values())
+            ]
+    yield resolved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_stores())
+def test_integrity_check_agrees_with_the_reference(records):
+    for cells in _variants(records):
+        store = store_of(cells)
+        expected = _fault(reference_verify_integrity, store)
+        assert _fault(dictstore.DictionaryStore.verify_integrity, store) == expected
 
 
 def test_snapshot_round_trip(tmp_path, idioms_store):

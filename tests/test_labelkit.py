@@ -101,8 +101,15 @@ def test_dictionary_translator_union(biblio_store):
 
 def test_static_table_exactness():
     translator = StaticTableTranslator.from_file(FIXTURES / "static_table.tsv")
-    assert translator.translate("nomCourt", "fr", "en") == ["Shortname"]
-    assert translator.translate("isbn", "fr", "en") == ["isbn"]
+    rows = [  # every row of the file, so that a reader dropping any one of them fails
+        ("Film", "Film"),
+        ("Université", "University"),
+        ("nomCourt", "Shortname"),
+        ("isbn", "isbn"),
+        ("Livre", "Paper"),
+    ]
+    for word, translation in rows:
+        assert translator.translate(word, "fr", "en") == [translation], word
     assert translator.translate("absent", "fr", "en") == []
     assert translator.translate("nomCourt", "fr", "de") == []
 
