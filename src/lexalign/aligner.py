@@ -34,7 +34,6 @@ from .ontomodel import EntityId, Kind, Ontology
 from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
 from .structsim import (
     LABEL_THRESHOLD,
-    NameMatcher,
     expand_tree,
     subclass_rule,
     tree_similarity,
@@ -224,15 +223,6 @@ class NameTable:
             )
         return score if score is not None and score >= threshold else None
 
-    def matcher(self, threshold: float) -> NameMatcher:
-        """Names match when every token of one pairs off with a token of
-        the other at or above `threshold`."""
-
-        def match(a: str, b: str) -> bool:
-            return self.cover(self.tokens(a), self.tokens(b), threshold) is not None
-
-        return match
-
     def covers(
         self, keys: Iterable[tuple[str, ...]], rights: dict[int, list[tuple]], threshold: float
     ) -> dict:
@@ -350,12 +340,16 @@ def structural_correspondences(
     table: NameTable,
     translations: dict[str, list[str]],
 ) -> list[Correspondence]:
-    """Rule-based pairs at score 1.0 plus expanding-tree scores for
-    class pairs with any overlap.
+    """Rule-based pairs at score 1.0, each listed once, plus
+    expanding-tree scores for class pairs with any overlap.
 
-    Names are compared through `table` at structsim.LABEL_THRESHOLD:
-    the rules compare two names, the trees compare a left node's candidate
-    keys with a right node's name. A tree pair scores above 0 exactly when
+    Names are compared through `table` at structsim.LABEL_THRESHOLD. For
+    the rules, two entities are named alike when their display names
+    cover, the left name untranslated, and they correspond when `seed`
+    (the first two stages' greedy selection) holds the pair or they are
+    named alike; two datatype ranges correspond only when they are the
+    same IRI. The trees instead compare a left node's translated keys with
+    a right node's name. A tree pair scores above 0 exactly when
     a node name of the left tree matches one of the right tree, so each
     distinct left node name's keys go through table.covers once against
     the right node names, an index maps each right node name to the
@@ -363,17 +357,20 @@ def structural_correspondences(
     class pairs that share a match, with a lookup in those covers as its
     matcher. Every other pair scores 0.
     """
-    name_matcher = table.matcher(LABEL_THRESHOLD)
     seed_pairs = seed.pairs()
 
-    out = []
-    seen: set[tuple[str, str]] = set()
-    for left, right in triple_rule(o1, o2, seed_pairs, name_matcher) + subclass_rule(
-        o1, o2, seed_pairs, name_matcher
-    ):
-        if (left.iri, right.iri) not in seen:
-            seen.add((left.iri, right.iri))
-            out.append(Correspondence(left, right, 1.0, SOURCE_STRUCTURE))
+    def named(a: EntityId, b: EntityId) -> bool:
+        tokens_a, tokens_b = table.tokens(o1.display_name(a)), table.tokens(o2.display_name(b))
+        return table.cover(tokens_a, tokens_b, LABEL_THRESHOLD) is not None
+
+    def corresponds(a: EntityId, b: EntityId) -> bool:
+        return (a.iri, b.iri) in seed_pairs or named(a, b)
+
+    rule_pairs = triple_rule(o1, o2, corresponds, named) + subclass_rule(o1, o2, corresponds)
+    out = [
+        Correspondence(left, right, 1.0, SOURCE_STRUCTURE)
+        for left, right in dict.fromkeys(rule_pairs)
+    ]
 
     classes2 = o2.classes()
     trees2 = [expand_tree(o2, c) for c in classes2]
@@ -391,14 +388,14 @@ def structural_correspondences(
     def matches(a_name: str) -> dict[str, float]:
         return table.covers(keys_by_name[a_name], rights, LABEL_THRESHOLD)
 
-    def matcher(a_name: str, b_name: str) -> bool:
+    def keys_match(a_name: str, b_name: str) -> bool:
         return b_name in matches(a_name)
 
     for c1 in o1.classes():
         tree1 = expand_tree(o1, c1)
         candidates = {j for node in tree1.nodes for b in matches(node.name) for j in holders[b]}
         for j in sorted(candidates):
-            score = tree_similarity(tree1, trees2[j], matcher)
+            score = tree_similarity(tree1, trees2[j], keys_match)
             if score > 0:
                 out.append(Correspondence(c1, classes2[j], score, SOURCE_STRUCTURE))
     return out
@@ -460,12 +457,9 @@ def align(
 
 
 def write_alignment(alignment: Alignment, path: str | Path) -> None:
-    """TSV rows `left<TAB>right<TAB>score` with 4-decimal scores, sorted
-    by left IRI."""
-    lines = [
-        f"{c.left.iri}\t{c.right.iri}\t{c.score:.4f}"
-        for c in sorted(alignment, key=lambda c: c.left.iri)
-    ]
+    """TSV rows `left<TAB>right<TAB>score` with 4-decimal scores, in the
+    alignment's order: by left IRI, since it is one-to-one."""
+    lines = [f"{c.left.iri}\t{c.right.iri}\t{c.score:.4f}" for c in alignment]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

@@ -18,7 +18,7 @@ from typing import Protocol
 
 from .dictstore import DictionaryStore
 from .errors import LexalignError, read_text
-from .lexiserve import client_reverse_translate, client_translate
+from .lexiserve import DEFAULT_TIMEOUT_MS, client_reverse_translate, client_translate
 
 
 class LabelError(LexalignError):
@@ -172,7 +172,7 @@ class DictionaryTranslator:
 class EndpointTranslator:
     """Same contract as DictionaryTranslator, but over the HTTP service."""
 
-    def __init__(self, endpoint: str, timeout_ms: int = 5000):
+    def __init__(self, endpoint: str, timeout_ms: int = DEFAULT_TIMEOUT_MS):
         self._endpoint = endpoint
         self._timeout_ms = timeout_ms
 
@@ -204,6 +204,8 @@ class StaticTableTranslator:
             cells = line.split("\t")
             if len(cells) != 4:
                 raise LabelError(f"{path.name}:{line_no}: expected 4 columns, got {len(cells)}")
+            if "" in cells:
+                raise LabelError(f"{path.name}:{line_no}: empty cell")
             rows.append((cells[0], cells[1], cells[2], cells[3]))
         return cls(rows)
 

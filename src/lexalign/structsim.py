@@ -7,15 +7,23 @@ weights 3/2/1. Tree similarity is asymmetric by construction: a small
 neighborhood fully contained in a large one scores 1.0 in that direction
 only.
 
-The rule functions take the already-found correspondences as a seed in
-the form of (left IRI, right IRI) pairs and return entity pairs; scoring
-is the caller's concern.
+The rules take what counts as corresponding from the caller, as two
+predicates on a (left, right) entity pair: `corresponds` for domains,
+ranges and subclasses, `named` for two properties. Two datatype ranges
+correspond only when they are the same IRI. The rules return entity
+pairs; scoring is the caller's concern. In an alignment run,
+aligner.structural_correspondences builds both predicates: two entities
+are named alike when the tokens of their display names cover at
+LABEL_THRESHOLD, the left name untranslated, and they correspond when
+the first two stages' greedy selection chose the pair or they are named
+alike. The trees, unlike the rules, compare a left node's translated
+keys with a right node's name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection
+from typing import Callable
 
 from .errors import LexalignError
 # tokenize and jaro_winkler are unused here; perfbench/tracing.py wraps them in this namespace
@@ -112,92 +120,58 @@ def tree_similarity(tx: WeightedTree, ty: WeightedTree, matcher: NameMatcher) ->
     return matched_weight / total
 
 
-PairSeed = Collection[tuple[str, str]]
-
-
-def _entities_match(
-    left: EntityId,
-    right: EntityId,
-    left_onto: Ontology,
-    right_onto: Ontology,
-    seed: PairSeed,
-    matcher: NameMatcher,
-) -> bool:
-    if (left.iri, right.iri) in seed:
-        return True
-    return matcher(left_onto.display_name(left), right_onto.display_name(right))
-
-
-def _ranges_match(
-    p1: EntityId,
-    p2: EntityId,
-    o1: Ontology,
-    o2: Ontology,
-    seed: PairSeed,
-    matcher: NameMatcher,
-) -> bool:
-    r1 = o1.range.get(p1)
-    r2 = o2.range.get(p2)
-    if r1 is None or r2 is None:
-        return False
-    if isinstance(r1, str) or isinstance(r2, str):
-        return r1 == r2  # datatype IRIs compare by identity
-    return _entities_match(r1, r2, o1, o2, seed, matcher)
+EntityPredicate = Callable[[EntityId, EntityId], bool]
 
 
 def triple_rule(
     o1: Ontology,
     o2: Ontology,
-    seed: PairSeed,
-    matcher: NameMatcher,
+    corresponds: EntityPredicate,
+    named: EntityPredicate,
 ) -> list[tuple[EntityId, EntityId]]:
-    """Shared-triple inference over property pairs.
+    """Shared-triple inference over property pairs whose domains and
+    ranges are all given.
 
-    If both domain and range of two properties correspond, the
-    properties are emitted. Dually, if the property names match and the
-    ranges correspond, the two domains are emitted.
+    The ranges must correspond: two classes by `corresponds`, two
+    datatypes by being the same IRI. Then, if the domains correspond, the
+    properties are emitted; if the properties are `named` alike, the
+    domains are emitted. Pairs come in order of first emission.
     """
-    out: list[tuple[EntityId, EntityId]] = []
-    emitted: set[tuple[str, str]] = set()
-
-    def emit(left: EntityId, right: EntityId) -> None:
-        if (left.iri, right.iri) not in emitted:
-            emitted.add((left.iri, right.iri))
-            out.append((left, right))
-
-    properties2 = o2.properties()
+    found: dict[tuple[str, str], tuple[EntityId, EntityId]] = {}
+    properties2 = [
+        (p2, o2.domain[p2], o2.range[p2])
+        for p2 in o2.properties()
+        if p2 in o2.domain and p2 in o2.range
+    ]
     for p1 in o1.properties():
-        for p2 in properties2:
-            ranges_ok = _ranges_match(p1, p2, o1, o2, seed, matcher)
-            if not ranges_ok:
+        d1, r1 = o1.domain.get(p1), o1.range.get(p1)
+        if d1 is None or r1 is None:
+            continue
+        for p2, d2, r2 in properties2:
+            if isinstance(r1, str) or isinstance(r2, str):
+                if r1 != r2:
+                    continue
+            elif not corresponds(r1, r2):
                 continue
-            d1 = o1.domain.get(p1)
-            d2 = o2.domain.get(p2)
-            if (
-                d1 is not None
-                and d2 is not None
-                and _entities_match(d1, d2, o1, o2, seed, matcher)
-            ):
-                emit(p1, p2)
-            if matcher(o1.display_name(p1), o2.display_name(p2)) and d1 is not None and d2 is not None:
-                emit(d1, d2)
-    return out
+            if corresponds(d1, d2):
+                found.setdefault((p1.iri, p2.iri), (p1, p2))
+            if named(p1, p2):
+                found.setdefault((d1.iri, d2.iri), (d1, d2))
+    return list(found.values())
 
 
 def subclass_rule(
-    o1: Ontology,
-    o2: Ontology,
-    seed: PairSeed,
-    matcher: NameMatcher,
+    o1: Ontology, o2: Ontology, corresponds: EntityPredicate
 ) -> list[tuple[EntityId, EntityId]]:
-    """Classes whose direct-subclass sets pair off exactly are emitted.
+    """Classes whose direct-subclass sets pair off exactly under
+    `corresponds` are emitted.
 
-    Both sets must be non-empty and admit a complete one-to-one matching
-    under the seed or name comparison; strict subsets do not fire.
+    Both sets must be non-empty and admit a complete one-to-one matching;
+    strict subsets do not fire.
     """
 
     def same(a: EntityId, b: EntityId) -> float:
-        return 1.0 if _entities_match(a, b, o1, o2, seed, matcher) else 0.0
+        return 1.0 if corresponds(a, b) else 0.0
 
     out: list[tuple[EntityId, EntityId]] = []
     subclasses2 = [(c2, sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)) for c2 in o2.classes()]

@@ -7,14 +7,17 @@ import math
 import random
 from functools import lru_cache
 from pathlib import Path
+from typing import Collection
 
 import pytest
 
 from lexalign import aligner, dictstore, labelkit, ontomodel, structsim, taxsim, triplemap
 from lexalign.dictstore import IngestError
 from lexalign.labelkit import token_sequence_match, tokenize
+from lexalign.ontomodel import EntityId, Ontology
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SW_GAP, SW_MATCH, SW_MISMATCH, jaro_winkler, sw_normalized
+from lexalign.structsim import NameMatcher
 from lexalign.triplemap import WIKPA_BASE, Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -468,16 +471,138 @@ def all_pairs_tree_scores(o1, o2, translations):
     ]
 
 
+# --------------------------------------------------------------------------
+# the structure rules as they were when each rule fetched both display
+# names for every pair it tried and took a seed and a string matcher
+
+
+PairSeed = Collection[tuple[str, str]]
+
+
+def _entities_match(
+    left: EntityId,
+    right: EntityId,
+    left_onto: Ontology,
+    right_onto: Ontology,
+    seed: PairSeed,
+    matcher: NameMatcher,
+) -> bool:
+    if (left.iri, right.iri) in seed:
+        return True
+    return matcher(left_onto.display_name(left), right_onto.display_name(right))
+
+
+def _ranges_match(
+    p1: EntityId,
+    p2: EntityId,
+    o1: Ontology,
+    o2: Ontology,
+    seed: PairSeed,
+    matcher: NameMatcher,
+) -> bool:
+    r1 = o1.range.get(p1)
+    r2 = o2.range.get(p2)
+    if r1 is None or r2 is None:
+        return False
+    if isinstance(r1, str) or isinstance(r2, str):
+        return r1 == r2  # datatype IRIs compare by identity
+    return _entities_match(r1, r2, o1, o2, seed, matcher)
+
+
+def reference_triple_rule(
+    o1: Ontology,
+    o2: Ontology,
+    seed: PairSeed,
+    matcher: NameMatcher,
+) -> list[tuple[EntityId, EntityId]]:
+    """Shared-triple inference over property pairs.
+
+    If both domain and range of two properties correspond, the
+    properties are emitted. Dually, if the property names match and the
+    ranges correspond, the two domains are emitted.
+    """
+    out: list[tuple[EntityId, EntityId]] = []
+    emitted: set[tuple[str, str]] = set()
+
+    def emit(left: EntityId, right: EntityId) -> None:
+        if (left.iri, right.iri) not in emitted:
+            emitted.add((left.iri, right.iri))
+            out.append((left, right))
+
+    properties2 = o2.properties()
+    for p1 in o1.properties():
+        for p2 in properties2:
+            ranges_ok = _ranges_match(p1, p2, o1, o2, seed, matcher)
+            if not ranges_ok:
+                continue
+            d1 = o1.domain.get(p1)
+            d2 = o2.domain.get(p2)
+            if (
+                d1 is not None
+                and d2 is not None
+                and _entities_match(d1, d2, o1, o2, seed, matcher)
+            ):
+                emit(p1, p2)
+            if matcher(o1.display_name(p1), o2.display_name(p2)) and d1 is not None and d2 is not None:
+                emit(d1, d2)
+    return out
+
+
+def reference_subclass_rule(
+    o1: Ontology,
+    o2: Ontology,
+    seed: PairSeed,
+    matcher: NameMatcher,
+) -> list[tuple[EntityId, EntityId]]:
+    """Classes whose direct-subclass sets pair off exactly are emitted.
+
+    Both sets must be non-empty and admit a complete one-to-one matching
+    under the seed or name comparison; strict subsets do not fire.
+    """
+
+    def same(a: EntityId, b: EntityId) -> float:
+        return 1.0 if _entities_match(a, b, o1, o2, seed, matcher) else 0.0
+
+    out: list[tuple[EntityId, EntityId]] = []
+    subclasses2 = [(c2, sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)) for c2 in o2.classes()]
+    for c1 in o1.classes():
+        subs1 = sorted(o1.direct_subclasses(c1), key=lambda e: e.iri)
+        if not subs1:
+            continue
+        for c2, subs2 in subclasses2:
+            if len(subs2) != len(subs1):
+                continue
+            if token_sequence_match(subs1, subs2, same, 1.0) is not None:
+                out.append((c1, c2))
+    return out
+
+
+def rule_predicates(o1, o2, seed, matcher):
+    """A seed of (left IRI, right IRI) pairs and a string matcher as the
+    rules' predicates (corresponds, named): two entities are named alike
+    when the matcher accepts their display names, and they correspond when
+    the seed holds the pair or they are named alike."""
+
+    def named(a, b):
+        return matcher(o1.display_name(a), o2.display_name(b))
+
+    def corresponds(a, b):
+        return (a.iri, b.iri) in seed or named(a, b)
+
+    return corresponds, named
+
+
 def per_call_structural(o1, o2, seed, translations):
-    """aligner.structural_correspondences with both rules run through the
-    per-call name matcher and a tree score for every class pair."""
+    """aligner.structural_correspondences with both reference rules run
+    through the per-call name matcher and a tree score for every class
+    pair."""
     matcher = per_call_name_matcher(structsim.LABEL_THRESHOLD)
     seed_pairs = seed.pairs()
     out = []
     seen = set()
-    for left, right in structsim.triple_rule(
+    for left, right in reference_triple_rule(
         o1, o2, seed_pairs, matcher
-    ) + structsim.subclass_rule(o1, o2, seed_pairs, matcher):
+    ) + reference_subclass_rule(o1, o2, seed_pairs, matcher):
         if (left.iri, right.iri) not in seen:
             seen.add((left.iri, right.iri))
             out.append(aligner.Correspondence(left, right, 1.0, aligner.SOURCE_STRUCTURE))

@@ -14,6 +14,7 @@ from conftest import (
     per_call_align,
     per_call_structural,
     reference_greedy_one_to_one,
+    rule_predicates,
 )
 from lexalign import aligner, dictstore, labelkit, structsim, taxsim
 from lexalign.aligner import (
@@ -339,9 +340,14 @@ def test_a_pair_both_structure_rules_emit_is_listed_once():
     lines.append(f"<{base}p0> <{RDFS}range> <{base}C0> .")
     o = load_ontology("\n".join(lines) + "\n")
     c1 = o.entity(base + "C1")
-    matcher = NameTable(jaro_winkler, 0.9, jaro_winkler_bound).matcher(0.9)
-    assert (c1, c1) in structsim.triple_rule(o, o, set(), matcher)
-    assert (c1, c1) in structsim.subclass_rule(o, o, set(), matcher)
+    table = NameTable(jaro_winkler, 0.9, jaro_winkler_bound)
+
+    def matcher(a, b):
+        return table.cover(table.tokens(a), table.tokens(b), 0.9) is not None
+
+    corresponds, named = rule_predicates(o, o, set(), matcher)
+    assert (c1, c1) in structsim.triple_rule(o, o, corresponds, named)
+    assert (c1, c1) in structsim.subclass_rule(o, o, corresponds)
     check_against_per_call(o, o, WordTableTranslator(), MatchConfig("fr", "en"))
 
 

@@ -157,6 +157,25 @@ def test_match_with_static_table(tmp_path, capsys):
     assert "#Film\t" not in text
 
 
+@pytest.mark.parametrize(
+    "row", ["fr\ten\tlivre\t", "\ten\tLivre\tBook", "fr\ten\t\tBook"], ids=["last", "first", "word"]
+)
+def test_match_refuses_an_empty_translation_table_cell(tmp_path, capsys, row):
+    table = tmp_path / "table.tsv"
+    table.write_text(f"fr\ten\tisbn\tisbn\n{row}\n", "utf-8")
+    code, out, err = run(
+        capsys,
+        "match",
+        str(FIXTURES / "biblio_fr.nt"),
+        str(FIXTURES / "biblio_en.nt"),
+        "--table",
+        str(table),
+        *MATCH_OPTIONS,
+        str(tmp_path / "alignment.tsv"),
+    )
+    assert (code, out, err) == (2, "", "error: table.tsv:2: empty cell\n")
+
+
 def test_match_reports_ontology_warnings_on_stderr(tmp_path, capsys):
     def match(onto1, out_path):
         return run(

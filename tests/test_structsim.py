@@ -1,9 +1,16 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import per_call_name_matcher
-from lexalign.ontomodel import load_ontology
+from conftest import (
+    per_call_name_matcher,
+    reference_subclass_rule,
+    reference_triple_rule,
+    rule_predicates,
+)
+from lexalign.ontomodel import Ontology, load_ontology
 from lexalign.structsim import (
     LEVEL_WEIGHTS,
     StructureError,
@@ -17,11 +24,26 @@ from lexalign.structsim import (
 
 names_match = per_call_name_matcher(0.9)
 
+
+def triples(o1, o2, seed, matcher):
+    """triple_rule over the predicates of a seed and a name matcher."""
+    return triple_rule(o1, o2, *rule_predicates(o1, o2, seed, matcher))
+
+
+def subclasses(o1, o2, seed, matcher):
+    """subclass_rule over the predicates of a seed and a name matcher."""
+    corresponds, _ = rule_predicates(o1, o2, seed, matcher)
+    return subclass_rule(o1, o2, corresponds)
+
+
 EX1 = "http://example.org/one#"
 EX2 = "http://example.org/two#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 OWL_CLASS = "http://www.w3.org/2002/07/owl#Class"
 OWL_OBJ = "http://www.w3.org/2002/07/owl#ObjectProperty"
+OWL_DATA = "http://www.w3.org/2002/07/owl#DatatypeProperty"
+RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+XSD = "http://www.w3.org/2001/XMLSchema#"
 SUBCLASS = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 DOMAIN = "http://www.w3.org/2000/01/rdf-schema#domain"
 RANGE = "http://www.w3.org/2000/01/rdf-schema#range"
@@ -147,7 +169,7 @@ def test_triple_rule_emits_domains_for_shared_property(onto_fr, onto_en):
     seed = {
         ("http://example.org/biblio-fr#Article", "http://example.org/biblio-en#Article")
     }
-    pairs = triple_rule(onto_fr, onto_en, seed, names_match)
+    pairs = triples(onto_fr, onto_en, seed, names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("Revue", "Journal") in names
 
@@ -155,7 +177,7 @@ def test_triple_rule_emits_domains_for_shared_property(onto_fr, onto_en):
 def test_triple_rule_shared_domain_range_emits_properties():
     o1 = build(EX1, classes=["D", "R"], properties=[("p", "D", "R")])
     o2 = build(EX2, classes=["D", "R"], properties=[("q", "D", "R")])
-    pairs = triple_rule(o1, o2, set(), names_match)
+    pairs = triples(o1, o2, set(), names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("p", "q") in names
 
@@ -163,18 +185,18 @@ def test_triple_rule_shared_domain_range_emits_properties():
 def test_triple_rule_empty_without_shared_structure():
     o1 = build(EX1, classes=["A"], properties=[("p", "A", "A")])
     o2 = build(EX2, classes=["Z"], properties=[("q", "Z", "Z")])
-    assert triple_rule(o1, o2, set(), names_match) == []
+    assert triples(o1, o2, set(), names_match) == []
 
 
 def test_triple_rule_identical_ontologies(onto_en):
-    pairs = triple_rule(onto_en, onto_en, set(), names_match)
+    pairs = triples(onto_en, onto_en, set(), names_match)
     names = {(a.local_name(), b.local_name()) for a, b in pairs}
     assert ("articles", "articles") in names
     assert ("Journal", "Journal") in names
 
 
 def test_rule_outputs_in_entity_product_no_duplicates(onto_fr, onto_en):
-    for rule in (triple_rule, subclass_rule):
+    for rule in (triples, subclasses):
         pairs = rule(onto_fr, onto_en, set(), names_match)
         assert len(pairs) == len({(a.iri, b.iri) for a, b in pairs})
         for a, b in pairs:
@@ -185,27 +207,27 @@ def test_rule_outputs_in_entity_product_no_duplicates(onto_fr, onto_en):
 def test_subclass_rule_equal_sets():
     o1 = build(EX1, classes=["P", "a", "b"], subclasses=[("a", "P"), ("b", "P")])
     o2 = build(EX2, classes=["Q", "a", "b"], subclasses=[("a", "Q"), ("b", "Q")])
-    pairs = subclass_rule(o1, o2, set(), names_match)
+    pairs = subclasses(o1, o2, set(), names_match)
     assert {(a.local_name(), b.local_name()) for a, b in pairs} == {("P", "Q")}
 
 
 def test_subclass_rule_disjoint_sets_not_emitted():
     o1 = build(EX1, classes=["P", "a"], subclasses=[("a", "P")])
     o2 = build(EX2, classes=["Q", "z"], subclasses=[("z", "Q")])
-    assert subclass_rule(o1, o2, set(), names_match) == []
+    assert subclasses(o1, o2, set(), names_match) == []
 
 
 def test_subclass_rule_strict_subset_not_emitted():
     o1 = build(EX1, classes=["P", "a"], subclasses=[("a", "P")])
     o2 = build(EX2, classes=["Q", "a", "b"], subclasses=[("a", "Q"), ("b", "Q")])
-    assert subclass_rule(o1, o2, set(), names_match) == []
+    assert subclasses(o1, o2, set(), names_match) == []
 
 
 def test_subclass_rule_uses_seed():
     o1 = build(EX1, classes=["P", "x1", "x2"], subclasses=[("x1", "P"), ("x2", "P")])
     o2 = build(EX2, classes=["Q", "y1", "y2"], subclasses=[("y1", "Q"), ("y2", "Q")])
     seed = {(EX1 + "x1", EX2 + "y1"), (EX1 + "x2", EX2 + "y2")}
-    pairs = subclass_rule(o1, o2, seed, names_match)
+    pairs = subclasses(o1, o2, seed, names_match)
     assert {(a.local_name(), b.local_name()) for a, b in pairs} == {("P", "Q")}
 
 
@@ -217,5 +239,65 @@ def test_subclass_rule_without_perfect_cover_returns_promptly():
     o1 = build(EX1, classes=["P", *lefts], subclasses=[(x, "P") for x in lefts])
     o2 = build(EX2, classes=["Q", *rights], subclasses=[(y, "Q") for y in rights])
     start = time.perf_counter()
-    assert subclass_rule(o1, o2, set(), matcher=lambda a, b: b != "z") == []
+    assert subclasses(o1, o2, set(), lambda a, b: b != "z") == []
     assert time.perf_counter() - start < 1.0
+
+
+# near-identical words, so that names collide and scores straddle the threshold
+_WORDS = ("ab", "abc", "abd", "ba", "bab")
+_LABELS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2).map(" ".join)
+_DATATYPES = st.sampled_from((XSD + "string", XSD + "date", XSD + "integer"))
+
+
+@st.composite
+def rule_ontology(draw, base):
+    """At most 5 classes in a subclass forest and 4 properties: object
+    properties whose range is a class, datatype properties whose range is
+    an xsd: datatype, and a quarter of the domains and of the ranges left
+    out."""
+    lines = []
+
+    def triple(s, p, o, literal=False):
+        lines.append(f"<{base}{s}> <{p}> " + (f'"{o}" .' if literal else f"<{o}> ."))
+
+    classes = draw(st.integers(1, 5))
+    for i in range(classes):
+        triple(f"C{i}", RDF_TYPE, OWL_CLASS)
+        triple(f"C{i}", RDFS_LABEL, draw(_LABELS), literal=True)
+        if i and draw(st.booleans()):
+            triple(f"C{i}", SUBCLASS, f"{base}C{draw(st.integers(0, i - 1))}")
+    for j in range(draw(st.integers(0, 4))):
+        datatype = draw(st.booleans())
+        triple(f"p{j}", RDF_TYPE, OWL_DATA if datatype else OWL_OBJ)
+        triple(f"p{j}", RDFS_LABEL, draw(_LABELS), literal=True)
+        if draw(st.integers(0, 3)):
+            triple(f"p{j}", DOMAIN, f"{base}C{draw(st.integers(0, classes - 1))}")
+        if draw(st.integers(0, 3)):
+            target = draw(_DATATYPES) if datatype else f"{base}C{draw(st.integers(0, classes - 1))}"
+            triple(f"p{j}", RANGE, target)
+    return load_ontology("\n".join(lines) + "\n")
+
+
+@st.composite
+def rule_case(draw):
+    """Two ontologies and a seed of class pairs, of property pairs and of
+    entity pairs of any kinds, drawn without regard to their names, so
+    that it holds pairs no name matches."""
+    o1, o2 = draw(rule_ontology(EX1)), draw(rule_ontology(EX2))
+    seed = set()
+    for pool in (Ontology.classes, Ontology.properties, lambda o: o.entities.values()):
+        lefts, rights = ([e.iri for e in pool(o)] for o in (o1, o2))
+        if lefts and rights:
+            pair = st.tuples(st.sampled_from(lefts), st.sampled_from(rights))
+            seed.update(draw(st.lists(pair, max_size=3)))
+    return o1, o2, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rule_case())
+def test_rules_agree_with_the_references(case):
+    o1, o2, seed = case
+    assert triples(o1, o2, seed, names_match) == reference_triple_rule(o1, o2, seed, names_match)
+    assert subclasses(o1, o2, seed, names_match) == reference_subclass_rule(
+        o1, o2, seed, names_match
+    )
