@@ -101,8 +101,10 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_serve(args) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise _UsageError(f"--bind must be host:port, got {args.bind!r}")
+    # ASCII digits only: str.isdigit also takes "²", which int() refuses, and "٣٣", which it reads as 33
+    digits = port_text.isascii() and port_text.isdigit() and len(port_text) <= 5
+    if not host or not digits or int(port_text) > 65535:
+        raise _UsageError(f"--bind must be host:port with a port of 0 to 65535, got {args.bind!r}")
     # the store and its RDF view live as long as the process; frozen, they
     # are never walked by the collector, which sees only what serving makes
     with dictstore.collector_paused():

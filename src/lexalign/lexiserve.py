@@ -37,6 +37,7 @@ the server; every route is read-only.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import logging
@@ -48,7 +49,7 @@ import time
 from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Optional
-from urllib.parse import SplitResult, urlencode, urlsplit, parse_qs
+from urllib.parse import SplitResult, quote_plus, unquote_plus, urlsplit
 
 from .dictstore import DictionaryStore, DictionaryError
 from .errors import LexalignError
@@ -208,20 +209,42 @@ _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-def _response(status: int, payload: dict, close: bool) -> bytes:
-    """An answer, head and body, to go out in one write: the JSON payload
-    with its length, the Date (RFC 9110 §6.6.1) and, when the connection
-    closes after it, `Connection: close`."""
-    body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    t = time.gmtime()
-    connection = "Connection: close\r\n" if close else ""
+@functools.lru_cache(maxsize=1)
+def _date_line(second: int) -> str:
+    """The Date header line (RFC 9110 §6.6.1) of every answer sent within
+    one second, the resolution of an HTTP-date (§5.6.7)."""
+    t = time.gmtime(second)
     return (
-        f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
         f"Date: {_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
         f"{t.tm_hour:02}:{t.tm_min:02}:{t.tm_sec:02} GMT\r\n"
+    )
+
+
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _response(status: int, payload: dict, close: bool) -> bytes:
+    """An answer, head and body, to go out in one write: the JSON payload
+    with its length, the Date and, when the connection closes after it,
+    `Connection: close`."""
+    body = _encode_json(payload).encode("utf-8")
+    connection = "Connection: close\r\n" if close else ""
+    return (
+        f"HTTP/1.1 {status} {_REASONS[status]}\r\n{_date_line(int(time.time()))}"
         f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(body)}\r\n"
         f"{connection}\r\n"
     ).encode("ascii") + body
+
+
+def _query_parameters(query: str) -> dict[str, str]:
+    """The first value of each name in a query string, decoded in one pass
+    as `parse_qs(query, keep_blank_values=True)` decodes them."""
+    params: dict[str, str] = {}
+    for pair in query.split("&"):
+        if pair:
+            name, _, value = pair.partition("=")
+            params.setdefault(unquote_plus(name), unquote_plus(value))
+    return params
 
 
 _GET_PARAMETERS = {  # the query parameters each GET route requires
@@ -322,7 +345,7 @@ class _Handler(socketserver.BaseRequestHandler):
         required = _GET_PARAMETERS.get(url.path)
         if required is None:
             return 404, {"error": f"no such endpoint: {url.path}"}
-        params = {k: v[0] for k, v in parse_qs(url.query, keep_blank_values=True).items()}
+        params = _query_parameters(url.query)
         missing = [name for name in required if name not in params]
         if missing:
             return 400, {"error": f"missing query parameter(s): {', '.join(missing)}"}
@@ -468,7 +491,9 @@ def serve(config: ServiceConfig, store: DictionaryStore) -> ServiceHandle:
 
 
 _BODY_PART = 1 << 20  # a body is read in parts of at most this, whatever its declared length
-_URL = re.compile(r"[!-~]+")  # what a URL may hold to go into a request line and Host as it is
+# what an endpoint may hold to go into a request line and Host as it is:
+# visible ASCII, but no "#" or "?", as it has no query or fragment
+_ENDPOINT = re.compile(r'[!"$->@-~]+')
 _PORTS = {"http": 80, "https": 443}
 
 
@@ -537,7 +562,8 @@ def _connection(origin: tuple[str, str, Optional[int]], timeout: float) -> tuple
     held.timeout = timeout  # a fresh socket takes it at connect
     if held.sock is None:
         return held, False
-    held.sock.settimeout(timeout)
+    if held.sock.gettimeout() != timeout:  # settimeout costs a syscall even when it changes nothing
+        held.sock.settimeout(timeout)
     return held, True
 
 
@@ -568,16 +594,26 @@ def _exchange(conn: _KeepAlive, target: str, body: Optional[bytes]) -> tuple[int
         raise
 
 
-def _request_json(url: str, timeout_ms: int, body: Optional[bytes] = None) -> dict:
-    """GET `url`, or POST `body` to it, and decode the JSON object it returns."""
+@functools.lru_cache(maxsize=16)
+def _split_endpoint(endpoint: str) -> tuple[tuple[str, str, Optional[int]], str]:
+    """The origin of an endpoint URL and the path its routes go under. A
+    run sends every request to one endpoint, so it is split once."""
     try:
-        parts = urlsplit(url)
+        parts = urlsplit(endpoint)
         origin = (parts.scheme, parts.hostname, parts.port)
     except ValueError as exc:  # a port that is not a number
-        raise ClientTransportError(f"cannot reach {url}: {exc}") from exc
-    if parts.scheme not in _PORTS or not parts.hostname or not _URL.fullmatch(url):
-        raise ClientTransportError(f"cannot reach {url}: not an http or https URL of visible ASCII")
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        raise ClientTransportError(f"cannot reach {endpoint}: {exc}") from exc
+    if parts.scheme not in _PORTS or not parts.hostname or not _ENDPOINT.fullmatch(endpoint):
+        problem = "not an http or https URL of visible ASCII with no query or fragment"
+        raise ClientTransportError(f"cannot reach {endpoint}: {problem}")
+    return origin, parts.path
+
+
+def _request_json(endpoint: str, route: str, timeout_ms: int, body: Optional[bytes] = None) -> dict:
+    """GET `route` under `endpoint`, or POST `body` to it, and decode the
+    JSON object it returns."""
+    origin, path = _split_endpoint(endpoint)
+    target, url = path + route, endpoint + route
     for attempt in (1, 2):
         conn, reused = _connection(origin, timeout_ms / 1000.0)
         try:
@@ -617,28 +653,30 @@ def client_translate(
     endpoint: str, word: str, from_lang: str, to_lang: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> list[str]:
     """GET /translate; mirrors DictionaryStore.translations over HTTP."""
-    url = f"{endpoint.rstrip('/')}/translate?" + urlencode(
-        {"word": word, "from": from_lang, "to": to_lang}
-    )
-    return _string_list(_request_json(url, timeout_ms), "translations", url)
+    endpoint = endpoint.rstrip("/")
+    route = f"/translate?word={quote_plus(word)}&from={quote_plus(from_lang)}&to={quote_plus(to_lang)}"
+    return _string_list(_request_json(endpoint, route, timeout_ms), "translations", endpoint + route)
 
 
 def client_reverse_translate(
     endpoint: str, term: str, term_lang: str, entry_lang: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> list[str]:
     """GET /reverse; mirrors DictionaryStore.reverse_translations over HTTP."""
-    url = f"{endpoint.rstrip('/')}/reverse?" + urlencode(
-        {"term": term, "term_lang": term_lang, "entry_lang": entry_lang}
+    endpoint = endpoint.rstrip("/")
+    route = (
+        f"/reverse?term={quote_plus(term)}&term_lang={quote_plus(term_lang)}"
+        f"&entry_lang={quote_plus(entry_lang)}"
     )
-    return _string_list(_request_json(url, timeout_ms), "headwords", url)
+    return _string_list(_request_json(endpoint, route, timeout_ms), "headwords", endpoint + route)
 
 
 def client_sparql(
     endpoint: str, query_text: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> tuple[list[str], list[list[str]]]:
     """POST /sparql; returns (vars, rows)."""
-    url = f"{endpoint.rstrip('/')}/sparql"
-    payload = _request_json(url, timeout_ms, query_text.encode("utf-8"))
+    endpoint = endpoint.rstrip("/")
+    url = f"{endpoint}/sparql"
+    payload = _request_json(endpoint, "/sparql", timeout_ms, query_text.encode("utf-8"))
     head = payload.get("head")
     variables = _string_list(head if isinstance(head, dict) else {}, "vars", url)
     rows = payload.get("rows")

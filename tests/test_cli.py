@@ -621,6 +621,30 @@ def test_serve_with_a_timeout_beyond_one_day_is_a_data_error():
     assert "serving on" not in done.stdout
 
 
+@pytest.mark.parametrize(
+    "port",
+    [
+        pytest.param("\u00b2", id="superscript-two"),
+        pytest.param("\u0663\u0663", id="arabic-indic-33"),
+        pytest.param("+80", id="plus-sign"),
+        pytest.param(" 80", id="leading-space"),
+        pytest.param("65536", id="past-65535"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ],
+)
+def test_serve_takes_a_port_of_ascii_digits_only(monkeypatch, capsys, port):
+    from lexalign import dictstore
+
+    def refuse(path):
+        raise AssertionError(f"--bind 127.0.0.1:{port!r} was accepted")
+
+    monkeypatch.setattr(dictstore, "open_store", refuse)  # an accepted port would load and serve
+    assert main(["serve", str(FIXTURES / "idioms_dict"), "--bind", f"127.0.0.1:{port}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --bind must be host:port")
+    assert "Traceback" not in err
+
+
 def test_serve_freezes_the_store_it_loads_with_the_collector_paused(monkeypatch):
     from types import SimpleNamespace
 

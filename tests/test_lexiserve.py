@@ -10,10 +10,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from types import SimpleNamespace
 from urllib.error import HTTPError
+from urllib.parse import parse_qs
 from urllib.request import urlopen
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import IDIOM_ROWS, store_of
 from lexalign import lexiserve
@@ -109,6 +113,39 @@ def test_a_blank_query_value_is_a_value(biblio_service, biblio_store):
         with err.value:
             assert err.value.code == 400
             assert json.loads(err.value.read()) == {"error": "unknown language code: ''"}
+
+
+# query strings of names that repeat, some spelled two ways ("a", "%61"),
+# empty pairs, and values of escapes good and bad: a lone Latin-1 escape
+# that is not UTF-8, "%zz", "+", "&" and "=" inside them, non-ASCII text
+_NAMES = ("word", "to", "a", "%61", "a+b", "", "é")
+_PIECES = ("&", "=", "+", "%", "%zz", "%e9", "%C3%A9", "%2B", "%26", "%3D", "a", "F", "0", "9", "é", "语", " ")
+_VALUES = st.lists(st.sampled_from(_PIECES), max_size=6).map("".join)
+_PAIRS = st.one_of(st.sampled_from(_NAMES), st.tuples(st.sampled_from(_NAMES), _VALUES).map("=".join))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_PAIRS, max_size=8).map("&".join))
+def test_query_decoding_keeps_the_first_value_as_parse_qs_reads_it(query):
+    expected = {name: values[0] for name, values in parse_qs(query, keep_blank_values=True).items()}
+    assert lexiserve._query_parameters(query) == expected
+
+
+def test_a_repeated_query_parameter_answers_for_its_first_value(idioms_service, idioms_store):
+    for query, word, src, tgt in [
+        ("word=a+b&word=c&from=fr&to=en", "a b", "fr", "en"),
+        ("word=rain+cats+and+dogs&from=en&word=c&to=fr&to=de", "rain cats and dogs", "en", "fr"),
+    ]:
+        with urlopen(f"{idioms_service.endpoint}/translate?{query}") as resp:
+            payload = json.loads(resp.read())
+        assert payload == {
+            "word": word,
+            "from": src,
+            "to": tgt,
+            "translations": idioms_store.translations(word, src, tgt),
+            "source": "dictionary",
+        }
+    assert payload["translations"]
 
 
 def test_unknown_endpoint_is_404(biblio_service):
@@ -564,6 +601,39 @@ def test_a_request_that_will_not_be_followed_is_answered_and_closed(idioms_servi
     assert json.loads(body)["entry_count"]
 
 
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        pytest.param(b"GET /translate?word=a&from=fr&to=en HTTP/1.1\r\n\r\n", 200, id="translate"),
+        pytest.param(b"GET /reverse?term=a&term_lang=fr&entry_lang=en HTTP/1.1\r\n\r\n", 200, id="reverse"),
+        pytest.param(b"GET /stats HTTP/1.1\r\n\r\n", 200, id="stats"),
+        pytest.param(_sparql_post(b"Content-Length: %d"), 200, id="sparql"),
+        pytest.param(b"GET /translate?word=a HTTP/1.1\r\n\r\n", 400, id="missing-parameter"),
+        pytest.param(b"GET /nope HTTP/1.1\r\n\r\n", 404, id="no-route"),
+        pytest.param(b"GARBAGE\r\n\r\n", 400, id="malformed"),
+    ],
+)
+def test_every_answer_is_dated_now_in_imf_fixdate(idioms_service, request_bytes, status):
+    with socket.create_connection((idioms_service.host, idioms_service.port), timeout=5) as sock:
+        sock.sendall(request_bytes + b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
+        reply = _read_until_closed(sock)
+    heads = [answer.partition(b"\r\n\r\n")[0] for answer in reply.split(b"HTTP/1.1 ")[1:]]
+    assert heads[0].startswith(b"%d " % status)
+    for head in heads:
+        date = _IMF_FIXDATE.search(head)
+        assert date is not None
+        sent = email.utils.parsedate_to_datetime(date[1].decode("ascii"))
+        assert abs(sent.timestamp() - time.time()) < 5
+
+
+def test_the_date_changes_with_the_second(monkeypatch):
+    times = [1_700_000_000.0, 1_700_000_000.999, 1_700_000_001.0, 1_700_000_001.5, 1_700_000_000.5]
+    clock = iter(times)
+    monkeypatch.setattr(lexiserve, "time", SimpleNamespace(time=lambda: next(clock), gmtime=time.gmtime))
+    dates = [_IMF_FIXDATE.search(lexiserve._response(200, {}, False))[1].decode() for _ in times]
+    assert dates == [email.utils.formatdate(int(t), usegmt=True) for t in times]
+
+
 @pytest.fixture()
 def accepts(monkeypatch):
     """The number of connections every lexiserve service accepts."""
@@ -629,7 +699,8 @@ def test_client_after_a_closing_response_needs_no_replay(
 
 
 class _SlowServer(ThreadingHTTPServer):
-    """Keep-alive server that answers /slow a second late; counts accepts."""
+    """Keep-alive server that answers /slow a second late and /late 0.4 s
+    late; counts accepts."""
 
     accepted = 0
 
@@ -644,6 +715,8 @@ class _SlowHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         if self.path.startswith("/slow/"):
             time.sleep(1.0)
+        elif self.path.startswith("/late/"):
+            time.sleep(0.4)
         body = b'{"translations": []}'
         try:
             self.send_response(200)
@@ -672,6 +745,23 @@ def test_timeout_on_a_reused_connection_is_not_replayed(attempts):
         server.shutdown()
         server.server_close()
     assert 0.2 <= elapsed < 0.2 + TIMEOUT_SLACK_S
+    assert (attempts[0], server.accepted) == (2, 1)
+
+
+def test_a_longer_timeout_on_a_reused_connection_is_restored(attempts):
+    server = _SlowServer(("127.0.0.1", 0), _SlowHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        assert client_translate(endpoint, "w", "en", "fr", timeout_ms=200) == []
+        start = time.monotonic()
+        assert client_translate(endpoint + "/late", "w", "en", "fr") == []  # the default 5 s timeout
+        elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert elapsed >= 0.4
     assert (attempts[0], server.accepted) == (2, 1)
 
 
@@ -1077,3 +1167,11 @@ def test_an_ipv6_literal_is_bracketed_in_host():
 def test_an_endpoint_the_client_cannot_use_is_transport_error(endpoint):
     with pytest.raises(ClientTransportError):
         client_translate(endpoint, "w", "en", "fr", timeout_ms=500)
+
+
+@pytest.mark.parametrize("suffix", ["/?k=v", "/#f", "?"])
+def test_an_endpoint_with_a_query_or_fragment_is_refused_unsent(suffix):
+    with _RawServer() as server:
+        with pytest.raises(ClientTransportError, match="no query or fragment"):
+            client_translate(server.endpoint + suffix, "w", "en", "fr")
+    assert (server.accepted, server.requests) == (0, [])
