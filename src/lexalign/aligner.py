@@ -21,7 +21,6 @@ NameTable.covers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Callable, Iterable, Optional
 from .errors import LexalignError, read_text
 from .labelkit import Translator, token_sequence_match, tokenize, translate_label
 from .ontomodel import EntityId, Kind, Ontology
-from .strsim import jaro_winkler, jaro_winkler_bound, sw_normalized, sw_normalized_bound
+from .strsim import jaro_winkler, jaro_winkler_bound, shared_bound, sw_normalized, sw_normalized_bound
 from .structsim import (
     LABEL_THRESHOLD,
     expand_tree,
@@ -149,8 +148,8 @@ def _jw_or_sw(a: str, b: str) -> float:
     return max(jaro_winkler(a, b), sw_normalized(a, b))
 
 
-def _jw_or_sw_bound(a: str, b: str, ca: Counter, cb: Counter) -> float:
-    return max(jaro_winkler_bound(a, b, ca, cb), sw_normalized_bound(a, b, ca, cb))
+def _jw_or_sw_bound(a: str, b: str, shared: int) -> float:
+    return max(jaro_winkler_bound(a, b, shared), sw_normalized_bound(a, b, shared))
 
 
 # A pair is skipped only when its bound is this far below the floor: the
@@ -168,24 +167,27 @@ class NameTable:
     the stored score when that is >= t and none otherwise. The tokens of
     each name are memoized, and so is each token pair's similarity, but
     only the pairs that can reach the floor are scored: `bound`, an upper
-    bound on the similarity called as bound(a, b, counts_a, counts_b) with
-    each token's character counts, stores a pair whose bound is below the
-    floor as 0.0. A cover only reads similarities >= floor, so no cover
-    changes. Every entry is a pure function of its key, so reading the
-    table gives the same answers as comparing afresh.
+    bound on the similarity called as bound(a, b, shared) with
+    strsim.shared_bound of the two tokens' character masks, stores a pair
+    whose bound is below the floor as 0.0. A cover only reads similarities
+    >= floor, so no cover changes. A pair of one-token tuples needs no
+    search: its cover is the token pair's similarity when that reaches the
+    floor. Every entry is a pure function of its key, so reading the table
+    gives the same answers as comparing afresh.
     """
 
     def __init__(
         self,
         similarity: Callable[[str, str], float],
         floor: float,
-        bound: Callable[[str, str, Counter, Counter], float],
+        bound: Callable[[str, str, int], float],
     ):
         self._similarity = similarity
         self._floor = floor
         self._bound = bound
         self._tokens: dict[str, tuple[str, ...]] = {}
-        self._counts: dict[str, Counter] = {}
+        self._bits: dict[str, int] = {}  # character -> its bit in every mask of this table
+        self._masks: dict[str, int] = {}  # token -> the bits of its distinct characters
         self._pairs: dict[tuple[str, str], float] = {}
         self._covers: dict[tuple[tuple[str, ...], tuple[str, ...]], Optional[float]] = {}
 
@@ -195,16 +197,23 @@ class NameTable:
             tokens = self._tokens[name] = tuple(tokenize(name))
         return tokens
 
-    def _char_counts(self, token: str) -> Counter:
-        counts = self._counts.get(token)
-        if counts is None:
-            counts = self._counts[token] = Counter(token)
-        return counts
+    def _mask(self, token: str) -> int:
+        mask = self._masks.get(token)
+        if mask is None:
+            mask = 0
+            bits = self._bits
+            for ch in token:
+                bit = bits.get(ch)
+                if bit is None:
+                    bit = bits[ch] = 1 << len(bits)
+                mask |= bit
+            self._masks[token] = mask
+        return mask
 
     def _pair_similarity(self, a: str, b: str) -> float:
         score = self._pairs.get((a, b))
         if score is None:
-            bound = self._bound(a, b, self._char_counts(a), self._char_counts(b))
+            bound = self._bound(a, b, shared_bound(a, b, self._mask(a), self._mask(b)))
             score = self._similarity(a, b) if bound >= self._floor - _BOUND_MARGIN else 0.0
             self._pairs[a, b] = score
         return score
@@ -214,6 +223,9 @@ class NameTable:
     ) -> Optional[float]:
         if threshold < self._floor:
             raise AlignerError(f"threshold {threshold} is below the table's floor {self._floor}")
+        if len(tokens_a) == 1 == len(tokens_b):  # the one pair is the cover, if it reaches the floor
+            score = self._pair_similarity(tokens_a[0], tokens_b[0])
+            return score if score >= threshold else None
         key = (tokens_a, tokens_b)
         if key in self._covers:
             score = self._covers[key]
@@ -358,10 +370,13 @@ def structural_correspondences(
     matcher. Every other pair scores 0.
     """
     seed_pairs = seed.pairs()
+    names1, names2 = (
+        {e.iri: table.tokens(o.display_name(e)) for e in o.classes() + o.properties()}
+        for o in (o1, o2)
+    )
 
     def named(a: EntityId, b: EntityId) -> bool:
-        tokens_a, tokens_b = table.tokens(o1.display_name(a)), table.tokens(o2.display_name(b))
-        return table.cover(tokens_a, tokens_b, LABEL_THRESHOLD) is not None
+        return table.cover(names1[a.iri], names2[b.iri], LABEL_THRESHOLD) is not None
 
     def corresponds(a: EntityId, b: EntityId) -> bool:
         return (a.iri, b.iri) in seed_pairs or named(a, b)

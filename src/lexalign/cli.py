@@ -105,16 +105,16 @@ def _cmd_serve(args) -> int:
     digits = port_text.isascii() and port_text.isdigit() and len(port_text) <= 5
     if not host or not digits or int(port_text) > 65535:
         raise _UsageError(f"--bind must be host:port with a port of 0 to 65535, got {args.bind!r}")
+    config = lexiserve.ServiceConfig(  # refuses bad options before the store is read
+        host=host,
+        port=int(port_text),
+        max_query_patterns=args.max_patterns,
+        request_timeout_ms=args.timeout_ms,
+    )
     # the store and its RDF view live as long as the process; frozen, they
     # are never walked by the collector, which sees only what serving makes
     with dictstore.collector_paused():
         store = dictstore.open_store(args.store)
-        config = lexiserve.ServiceConfig(
-            host=host,
-            port=int(port_text),
-            max_query_patterns=args.max_patterns,
-            request_timeout_ms=args.timeout_ms,
-        )
         handle = lexiserve.serve(config, store)
         gc.freeze()
     print(f"serving on {handle.endpoint} (Ctrl-C to stop)", flush=True)
@@ -158,6 +158,14 @@ def _cmd_translate(args) -> int:
 def _cmd_match(args) -> int:
     from . import aligner, labelkit, ontomodel, taxsim
 
+    cfg = aligner.MatchConfig(  # refuses bad options before any input is read
+        source_lang=args.from_lang,
+        target_lang=args.to_lang,
+        jw_threshold=args.jw,
+        jcn_threshold=args.jcn,
+        sw_enabled=args.sw,
+        structure_enabled=not args.no_structure,
+    )
     o1 = ontomodel.load_ontology_file(args.onto1)
     o2 = ontomodel.load_ontology_file(args.onto2)
     for path, onto in ((args.onto1, o1), (args.onto2, o2)):
@@ -170,14 +178,6 @@ def _cmd_match(args) -> int:
     else:
         translator = labelkit.StaticTableTranslator.from_file(args.table)
     thesaurus = taxsim.load_thesaurus(args.thesaurus) if args.thesaurus else None
-    cfg = aligner.MatchConfig(
-        source_lang=args.from_lang,
-        target_lang=args.to_lang,
-        jw_threshold=args.jw,
-        jcn_threshold=args.jcn,
-        sw_enabled=args.sw,
-        structure_enabled=not args.no_structure,
-    )
     result = aligner.align(o1, o2, translator, cfg, thesaurus)
     aligner.write_alignment(result, args.output)
     print(f"wrote {len(result)} correspondences to {args.output}")

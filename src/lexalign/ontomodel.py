@@ -56,6 +56,10 @@ class EntityId:
     iri: str
     kind: Optional[Kind]
 
+    def __hash__(self) -> int:
+        # equality still compares the kind; hashing it would run Enum.__hash__, written in Python
+        return hash(self.iri)
+
     def local_name(self) -> str:
         for sep in ("#", "/"):
             if sep in self.iri:

@@ -6,14 +6,11 @@ case; callers that want case-insensitive matching lowercase first.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 WINKLER_PREFIX_SCALE = 0.1
 WINKLER_MAX_PREFIX = 4
 SW_MATCH = 2  # Smith-Waterman scores: a positive match, nonpositive mismatch and gap
 SW_MISMATCH = -1
 SW_GAP = -1
-Counts = Mapping[str, int]  # a string's character counts, as collections.Counter gives them
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -61,34 +58,35 @@ def jaro_winkler(s1: str, s2: str) -> float:
     return _winkler(s1, s2, jaro(s1, s2))
 
 
-def _shared_count(counts1: Counts, counts2: Counts) -> int:
-    """Sum over c of min(counts1[c], counts2[c]): the most equal characters
-    two strings can pair one to one."""
-    m = 0
-    for ch in counts1.keys() & counts2.keys():
-        n1, n2 = counts1[ch], counts2[ch]
-        m += n1 if n1 < n2 else n2
-    return m
+def shared_bound(s1: str, s2: str, mask1: int, mask2: int) -> int:
+    """An upper bound on the most equal characters two strings can pair
+    one to one, sum over c of min(count in s1, count in s2).
+
+    A mask holds one bit per distinct character of its string, under one
+    character-to-bit map for both masks. Each distinct character that s1
+    lacks takes at least one position of s2, and the other way round, so
+    the bound is never below the count and costs an AND and a popcount.
+    """
+    return min(len(s1) - (mask1 & ~mask2).bit_count(), len(s2) - (mask2 & ~mask1).bit_count())
 
 
-def jaro_winkler_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> float:
-    """An upper bound on Jaro-Winkler: always >= jaro_winkler(s1, s2).
+def jaro_winkler_bound(s1: str, s2: str, shared: int) -> float:
+    """An upper bound on Jaro-Winkler: always >= jaro_winkler(s1, s2) when
+    `shared` is at least the two strings' shared character count, as
+    shared_bound gives it.
 
     Jaro pairs equal characters one to one, so the number of matches m is
-    at most the shared count of the two strings' characters, and the
-    transposition term (m - t) / m is at most 1. That gives
-    j <= (m/|s1| + m/|s2| + 1) / 3, which the Winkler step, increasing in
-    j, boosts with the exact common prefix (Dreßler & Ngonga Ngomo, "On
-    the efficient execution of bounded Jaro-Winkler distances", SWJ
-    2017). Taking the counts lets a caller count a string it compares many
-    times once; a pair then costs one key intersection.
+    at most `shared`, and the transposition term (m - t) / m is at most 1.
+    That gives j <= (m/|s1| + m/|s2| + 1) / 3, which the Winkler step,
+    increasing in j, boosts with the exact common prefix (Dreßler & Ngonga
+    Ngomo, "On the efficient execution of bounded Jaro-Winkler distances",
+    SWJ 2017).
     """
     if not s1 or not s2:
         return 1.0 if s1 == s2 else 0.0
-    m = _shared_count(counts1, counts2)
-    if m == 0:
+    if shared <= 0:
         return 0.0
-    return _winkler(s1, s2, (m / len(s1) + m / len(s2) + 1.0) / 3)
+    return _winkler(s1, s2, (shared / len(s1) + shared / len(s2) + 1.0) / 3)
 
 
 def smith_waterman(s1: str, s2: str) -> int:
@@ -123,8 +121,9 @@ def sw_normalized(s1: str, s2: str) -> float:
     return smith_waterman(s1, s2) / (SW_MATCH * min(len(s1), len(s2)))
 
 
-def sw_normalized_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> float:
-    """An upper bound on sw_normalized.
+def sw_normalized_bound(s1: str, s2: str, shared: int) -> float:
+    """An upper bound on sw_normalized, given `shared` as for
+    jaro_winkler_bound.
 
     A local alignment's matches pair equal characters one to one and every
     other step scores <= 0, so raw <= SW_MATCH * (shared count), which
@@ -132,4 +131,4 @@ def sw_normalized_bound(s1: str, s2: str, counts1: Counts, counts2: Counts) -> f
     """
     if not s1 or not s2:
         return 0.0
-    return _shared_count(counts1, counts2) / min(len(s1), len(s2))
+    return shared / min(len(s1), len(s2))

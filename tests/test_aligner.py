@@ -463,9 +463,9 @@ _TOKENS = st.text(alphabet="abcé", min_size=1, max_size=7)
 
 
 @st.composite
-def token_tuple_pair(draw):
+def token_tuple_pair(draw, tokens=_TOKENS):
     """Two token tuples, the second often a reordered near-copy of the first."""
-    left = draw(st.lists(_TOKENS, min_size=1, max_size=3))
+    left = draw(st.lists(tokens, min_size=1, max_size=3))
     right = []
     for token in left:
         edit = draw(st.sampled_from(("keep", "swap", "drop", "fresh")))
@@ -475,7 +475,7 @@ def token_tuple_pair(draw):
         elif edit == "drop" and len(token) > 1:
             token = token[:i] + token[i + 1 :]
         elif edit == "fresh":
-            token = draw(_TOKENS)
+            token = draw(tokens)
         right.append(token)
     right = draw(st.permutations(right))
     if draw(st.booleans()):
@@ -495,6 +495,47 @@ def test_bounded_name_table_gives_the_unbounded_covers(pairs, floor):
                 assert table.cover(tokens_a, tokens_b, threshold) == gated
 
 
+def best_covers(keys, rights, similarity, threshold):
+    """The best token_sequence_match over `keys` of each right some key covers, by position."""
+    expected = {}
+    for item, right in enumerate(rights):
+        scores = [token_sequence_match(key, right, similarity, threshold) for key in keys]
+        if any(score is not None for score in scores):
+            expected[item] = max(score for score in scores if score is not None)
+    return expected
+
+
+# Latin, Greek, Cyrillic and non-BMP mathematical letters: 107 code points
+_WIDE_ALPHABET = "".join(
+    map(chr, [*range(0x61, 0x7B), *range(0x3B1, 0x3CA), *range(0x430, 0x450), *range(0x1D538, 0x1D550)])
+)
+_WIDE_TOKENS = st.text(alphabet=_WIDE_ALPHABET, min_size=1, max_size=7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.permutations(_WIDE_ALPHABET),
+    st.lists(token_tuple_pair(_WIDE_TOKENS), min_size=1, max_size=6),
+    _THRESHOLDS,
+)
+def test_name_table_masks_past_64_characters_give_the_unbounded_covers(order, pairs, floor):
+    # the left tokens get their bits first; a name of 70 distinct characters
+    # then takes the bit map past 64 bits before the right tokens get theirs
+    wide = ("".join(order[:70]),)
+    keys = [tokens_a for tokens_a, _ in pairs]
+    rights = [tokens_b for _, tokens_b in pairs]
+    for similarity, bound in ((jaro_winkler, jaro_winkler_bound), (aligner._jw_or_sw, aligner._jw_or_sw_bound)):
+        table = NameTable(similarity, floor, bound)
+        for tokens in keys + [wide]:
+            assert table.cover(tokens, tokens, floor) == 1.0
+        for threshold in (t for t in (0.8, 0.9, 0.95, 1.0) if t >= floor):
+            for tokens_a, tokens_b in pairs:
+                expected = token_sequence_match(tokens_a, tokens_b, similarity, threshold)
+                assert table.cover(tokens_a, tokens_b, threshold) == expected
+            expected = best_covers(keys, rights, similarity, threshold)
+            assert table.covers(keys, aligner._by_length(enumerate(rights)), threshold) == expected
+
+
 # near-identical words, so that several keys cover one right name at different scores
 _NAME_TOKENS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2).map(tuple)
 
@@ -510,11 +551,7 @@ def test_covers_is_the_best_cover_over_every_key_and_right(keys, rights, floor, 
     if threshold < floor:
         floor, threshold = threshold, floor
     table = NameTable(jaro_winkler, floor, jaro_winkler_bound)
-    expected = {}
-    for item, right in enumerate(rights):
-        scores = [token_sequence_match(key, right, jaro_winkler, threshold) for key in keys]
-        if any(score is not None for score in scores):
-            expected[item] = max(score for score in scores if score is not None)
+    expected = best_covers(keys, rights, jaro_winkler, threshold)
     assert table.covers(keys, aligner._by_length(enumerate(rights)), threshold) == expected
 
 

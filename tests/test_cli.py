@@ -304,6 +304,71 @@ def test_match_with_a_nan_threshold_exit_code_2(tmp_path, capsys, option):
         assert not (tmp_path / "alignment.tsv").exists()
 
 
+def _refuse_to_read(monkeypatch, *targets):
+    """Make each (owner, name) raise AssertionError: an input read too early."""
+
+    def read(*args, **kwargs):
+        raise AssertionError("read an input before the options were checked")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, read)
+
+
+@pytest.mark.parametrize("backend", ["--store", "--table"])
+@pytest.mark.parametrize("option, value", [("--jw", "1.5"), ("--jcn", "nan")])
+def test_match_refuses_bad_options_before_reading_any_input(
+    tmp_path, capsys, monkeypatch, backend, option, value
+):
+    from lexalign import dictstore, labelkit, ontomodel, taxsim
+
+    _refuse_to_read(
+        monkeypatch,
+        (ontomodel, "load_ontology_file"),
+        (dictstore, "open_store"),
+        (labelkit.StaticTableTranslator, "from_file"),
+        (taxsim, "load_thesaurus"),
+    )
+    source = {"--store": FIXTURES / "biblio_dict", "--table": FIXTURES / "static_table.tsv"}[backend]
+    code, _, err = run(
+        capsys,
+        "match",
+        str(FIXTURES / "biblio_fr.nt"),
+        str(FIXTURES / "biblio_en.nt"),
+        backend,
+        str(source),
+        "--thesaurus",
+        str(FIXTURES / "mini_thesaurus_ic.tsv"),
+        option,
+        value,
+        *MATCH_OPTIONS,
+        str(tmp_path / "alignment.tsv"),
+    )
+    assert code == 2
+    assert "thresholds must" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-patterns", "0", "max_query_patterns must be positive"),
+        ("--timeout-ms", "0", "request_timeout_ms must be positive"),
+        ("--timeout-ms", "100000000000000000000", "request_timeout_ms must be at most 86400000"),
+    ],
+)
+def test_serve_refuses_bad_options_before_opening_the_store(
+    capsys, monkeypatch, option, value, message
+):
+    from lexalign import dictstore, lexiserve
+
+    _refuse_to_read(monkeypatch, (dictstore, "open_store"), (lexiserve, "serve"))
+    code, out, err = run(
+        capsys, "serve", str(FIXTURES / "idioms_dict"), "--bind", "127.0.0.1:0", option, value
+    )
+    assert code == 2
+    assert message in err
+    assert "serving on" not in out
+
+
 def test_match_on_an_entity_without_a_name_exit_code_2(tmp_path, capsys):
     fr = (FIXTURES / "biblio_fr.nt").read_text("utf-8")
     unnamed = "http://example.org/biblio-fr#"

@@ -103,6 +103,17 @@ def test_subclass_cycle_is_error():
         )
 
 
+def test_entity_ids_with_one_iri_and_two_kinds_stay_apart():
+    # the hash reads the IRI alone; equality still reads the kind
+    as_class, as_individual = EntityId(EX + "A", Kind.CLASS), EntityId(EX + "A", Kind.INDIVIDUAL)
+    assert as_class != as_individual
+    assert hash(as_class) == hash(as_individual)
+    assert as_class == EntityId(EX + "A", Kind.CLASS)
+    assert len({as_class, as_individual, EntityId(EX + "A", None)}) == 3
+    named = {as_class: "class", as_individual: "individual"}
+    assert named[as_class] == "class" and named[as_individual] == "individual"
+
+
 def test_display_name_falls_back_to_iri_fragment():
     onto = load_ontology(lines(clazz("Book")))
     assert onto.display_name(onto.entity(EX + "Book")) == "Book"

@@ -11,6 +11,7 @@ from lexalign.strsim import (
     jaro,
     jaro_winkler,
     jaro_winkler_bound,
+    shared_bound,
     smith_waterman,
     sw_normalized,
     sw_normalized_bound,
@@ -24,6 +25,13 @@ def random_pairs(seed, count, alphabet="abcdef", max_len=10):
             "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
             "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
         )
+
+
+def shared(s1, s2):
+    """shared_bound of two strings, with masks under one character-to-bit map."""
+    bits = {ch: 1 << i for i, ch in enumerate(dict.fromkeys(s1 + s2))}
+    mask1, mask2 = (sum(bits[ch] for ch in set(s)) for s in (s1, s2))
+    return shared_bound(s1, s2, mask1, mask2)
 
 
 def test_jaro_identity():
@@ -103,7 +111,7 @@ def related_pair(draw):
 @example(("école", "ecole"))
 def test_jaro_winkler_bound_is_never_below_jaro_winkler(pair):
     s1, s2 = pair
-    assert jaro_winkler_bound(s1, s2, Counter(s1), Counter(s2)) >= jaro_winkler(s1, s2)
+    assert jaro_winkler_bound(s1, s2, shared(s1, s2)) >= jaro_winkler(s1, s2)
 
 
 def test_smith_waterman_aab_ab():
@@ -146,11 +154,28 @@ def test_smith_waterman_equals_exhaustive_oracle_small():
 
 def test_sw_normalized_bound_is_never_below_sw_normalized():
     strings = all_strings("abc", 4)
-    counts = {s: Counter(s) for s in strings}
     for s1 in strings:
         for s2 in strings:
-            bound = sw_normalized_bound(s1, s2, counts[s1], counts[s2])
+            bound = sw_normalized_bound(s1, s2, shared(s1, s2))
             assert bound >= sw_normalized(s1, s2), (s1, s2)
+
+
+# few characters, so that they repeat: a non-BMP one, combining marks, a precomposed é
+_FEW = st.text(alphabet="ab\U0001d538\u0301\u0327\xe9", max_size=8)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.text(), st.text()), st.tuples(_FEW, _FEW)))
+@example(("", ""))
+@example(("", "aa"))
+@example(("aaab", "ab"))
+@example(("\U0001d538\U0001d538a", "\U0001d538"))
+@example(("e\u0301e\u0301", "\u0301e"))
+def test_shared_bound_is_never_below_the_shared_count(pair):
+    s1, s2 = pair
+    counts1, counts2 = Counter(s1), Counter(s2)
+    count = sum(min(counts1[ch], counts2[ch]) for ch in counts1.keys() & counts2.keys())
+    assert shared(s1, s2) >= count
 
 
 def test_smith_waterman_scores_a_shared_character():
