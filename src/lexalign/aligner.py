@@ -163,17 +163,16 @@ class NameTable:
     A comparison is the token-sequence cover score of
     labelkit.token_sequence_match under the table's token similarity,
     keyed by the two token tuples. It is computed at `floor`, the lowest
-    threshold any reader uses, and the cover at a threshold t >= floor is
-    the stored score when that is >= t and none otherwise. The tokens of
-    each name are memoized, and so is each token pair's similarity, but
-    only the pairs that can reach the floor are scored: `bound`, an upper
-    bound on the similarity called as bound(a, b, shared) with
-    strsim.shared_bound of the two tokens' character masks, stores a pair
-    whose bound is below the floor as 0.0. A cover only reads similarities
-    >= floor, so no cover changes. A pair of one-token tuples needs no
-    search: its cover is the token pair's similarity when that reaches the
-    floor. Every entry is a pure function of its key, so reading the table
-    gives the same answers as comparing afresh.
+    threshold any reader uses, so the table answers any threshold t >=
+    floor: the cover at t is the score when that is >= t, none otherwise.
+    `bound`, an upper bound on the token similarity called as
+    bound(a, b, shared) with strsim.shared_bound of the two tokens'
+    character masks, skips the token pairs that cannot reach the floor:
+    they score 0.0, and a cover reads only similarities >= floor. A pair
+    of one-token tuples needs no search: its cover is the token pair's
+    similarity when that reaches the floor. Every answer is a pure
+    function of its key, so reading the table gives the same answers as
+    comparing afresh.
     """
 
     def __init__(
@@ -182,41 +181,29 @@ class NameTable:
         floor: float,
         bound: Callable[[str, str, int], float],
     ):
-        self._similarity = similarity
+        # functools caches that close over these locals, not over the table,
+        # so they go with the table when its run ends
         self._floor = floor
-        self._bound = bound
-        self._tokens: dict[str, tuple[str, ...]] = {}
-        self._bits: dict[str, int] = {}  # character -> its bit in every mask of this table
-        self._masks: dict[str, int] = {}  # token -> the bits of its distinct characters
-        self._pairs: dict[tuple[str, str], float] = {}
-        self._covers: dict[tuple[tuple[str, ...], tuple[str, ...]], Optional[float]] = {}
+        bits: dict[str, int] = {}  # character -> its bit in every mask of this table
 
-    def tokens(self, name: str) -> tuple[str, ...]:
-        tokens = self._tokens.get(name)
-        if tokens is None:
-            tokens = self._tokens[name] = tuple(tokenize(name))
-        return tokens
-
-    def _mask(self, token: str) -> int:
-        mask = self._masks.get(token)
-        if mask is None:
+        @cache
+        def mask_of(token: str) -> int:  # the bits of the token's distinct characters
             mask = 0
-            bits = self._bits
             for ch in token:
                 bit = bits.get(ch)
                 if bit is None:
                     bit = bits[ch] = 1 << len(bits)
                 mask |= bit
-            self._masks[token] = mask
-        return mask
+            return mask
 
-    def _pair_similarity(self, a: str, b: str) -> float:
-        score = self._pairs.get((a, b))
-        if score is None:
-            bound = self._bound(a, b, shared_bound(a, b, self._mask(a), self._mask(b)))
-            score = self._similarity(a, b) if bound >= self._floor - _BOUND_MARGIN else 0.0
-            self._pairs[a, b] = score
-        return score
+        @cache
+        def pair_similarity(a: str, b: str) -> float:
+            shared = shared_bound(a, b, mask_of(a), mask_of(b))
+            return similarity(a, b) if bound(a, b, shared) >= floor - _BOUND_MARGIN else 0.0
+
+        self.tokens: Callable[[str], tuple[str, ...]] = cache(lambda name: tuple(tokenize(name)))
+        self._pair = pair_similarity
+        self._cover = cache(lambda a, b: token_sequence_match(a, b, pair_similarity, floor))
 
     def cover(
         self, tokens_a: tuple[str, ...], tokens_b: tuple[str, ...], threshold: float
@@ -224,15 +211,9 @@ class NameTable:
         if threshold < self._floor:
             raise AlignerError(f"threshold {threshold} is below the table's floor {self._floor}")
         if len(tokens_a) == 1 == len(tokens_b):  # the one pair is the cover, if it reaches the floor
-            score = self._pair_similarity(tokens_a[0], tokens_b[0])
+            score = self._pair(tokens_a[0], tokens_b[0])
             return score if score >= threshold else None
-        key = (tokens_a, tokens_b)
-        if key in self._covers:
-            score = self._covers[key]
-        else:
-            score = self._covers[key] = token_sequence_match(
-                tokens_a, tokens_b, self._pair_similarity, self._floor
-            )
+        score = self._cover(tokens_a, tokens_b)
         return score if score is not None and score >= threshold else None
 
     def covers(

@@ -398,6 +398,7 @@ class _Handler(socketserver.BaseRequestHandler):
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = MAX_CONNECTIONS  # the listen backlog: a burst of that many waits to be accepted
     closing = False
 
     def __init__(self, config: ServiceConfig, store: DictionaryStore):

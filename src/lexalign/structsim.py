@@ -106,15 +106,12 @@ def tree_similarity(tx: WeightedTree, ty: WeightedTree, matcher: NameMatcher) ->
     total = tx.total_weight()
     if total == 0:
         return 0.0
-    available = sorted(range(len(ty.nodes)), key=lambda i: (ty.nodes[i].name, i))
-    used: set[int] = set()
+    free = sorted(node.name for node in ty.nodes)  # equal names are interchangeable
     matched_weight = 0
     for node in sorted(tx.nodes, key=lambda n: (-n.weight, n.name)):
-        for idx in available:
-            if idx in used:
-                continue
-            if matcher(node.name, ty.nodes[idx].name):
-                used.add(idx)
+        for i, name in enumerate(free):
+            if matcher(node.name, name):
+                del free[i]
                 matched_weight += node.weight
                 break
     return matched_weight / total

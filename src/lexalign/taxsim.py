@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional
@@ -48,19 +49,14 @@ class Thesaurus:
             for word in synset.words:
                 self.word_index.setdefault(word, set()).add(synset.id)
         self.roots = sorted(s.id for s in synsets.values() if not s.hypernyms)
-        self._ancestors_cache: dict[str, frozenset[str]] = {}
+        # the synset and every synset above it, walked once per synset
+        self.ancestors_or_self = cache(lambda sid: _walk_up(self.synsets, self.synset(sid).id))
 
     def synset(self, synset_id: str) -> Synset:
         try:
             return self.synsets[synset_id]
         except KeyError:
             raise ThesaurusError(f"unknown synset: {synset_id}") from None
-
-    def ancestors_or_self(self, synset_id: str) -> frozenset[str]:
-        cached = self._ancestors_cache.get(synset_id)
-        if cached is None:
-            cached = self._ancestors_cache[synset_id] = _walk_up(self.synsets, self.synset(synset_id).id)
-        return cached
 
 
 def _walk_up(synsets: dict[str, Synset], synset_id: str) -> frozenset[str]:

@@ -17,7 +17,7 @@ from lexalign.labelkit import token_sequence_match, tokenize
 from lexalign.ontomodel import EntityId, Ontology
 from lexalign.sparqlet import Query, ResultTable, TriplePattern
 from lexalign.strsim import SW_GAP, SW_MATCH, SW_MISMATCH, jaro_winkler, sw_normalized
-from lexalign.structsim import NameMatcher
+from lexalign.structsim import NameMatcher, WeightedTree
 from lexalign.triplemap import WIKPA_BASE, Iri, Literal, TableGraph, Triple, Variable, render
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -454,6 +454,26 @@ def kind_pairs(o1, o2):
         rights = o2.by_kind(kind)
         pairs.extend((e1, e2) for e1 in o1.by_kind(kind) for e2 in rights)
     return pairs
+
+
+def reference_tree_similarity(tx: WeightedTree, ty: WeightedTree, matcher: NameMatcher) -> float:
+    """structsim.tree_similarity as it was when it kept the free right
+    nodes as sorted indices and a set of used ones."""
+    total = tx.total_weight()
+    if total == 0:
+        return 0.0
+    available = sorted(range(len(ty.nodes)), key=lambda i: (ty.nodes[i].name, i))
+    used: set[int] = set()
+    matched_weight = 0
+    for node in sorted(tx.nodes, key=lambda n: (-n.weight, n.name)):
+        for idx in available:
+            if idx in used:
+                continue
+            if matcher(node.name, ty.nodes[idx].name):
+                used.add(idx)
+                matched_weight += node.weight
+                break
+    return matched_weight / total
 
 
 def all_pairs_tree_scores(o1, o2, translations):

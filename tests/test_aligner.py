@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -459,6 +461,25 @@ def test_name_table_refuses_a_threshold_below_its_floor():
         table.cover(("film",), ("film",), 0.8)
 
 
+def test_a_name_table_and_its_caches_go_when_it_is_dropped():
+    # align() makes its tables per run: with no reference cycle through a
+    # table, reference counting frees it, and every answer it keeps, at once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = NameTable(jaro_winkler, 0.9, jaro_winkler_bound)
+        film, films = table.tokens("film"), table.tokens("films")
+        noir, noirs = table.tokens("Film noir"), table.tokens("noir films")
+        assert table.cover(film, films, 0.9) == table.cover(noir, noirs, 0.9) == 0.96
+        assert table.covers([noir], aligner._by_length([(0, noirs), (1, film)]), 0.9) == {0: 0.96}
+        dropped = weakref.ref(table)
+        del table
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _TOKENS = st.text(alphabet="abcé", min_size=1, max_size=7)
 
 
@@ -555,16 +576,21 @@ def test_covers_is_the_best_cover_over_every_key_and_right(keys, rights, floor, 
     assert table.covers(keys, aligner._by_length(enumerate(rights)), threshold) == expected
 
 
-def _record_table_pairs(monkeypatch) -> dict:
-    """Every token pair each NameTable is asked to compare, per table."""
-    asked: dict = {}
-    compare = NameTable._pair_similarity
+def _record_table_pairs(monkeypatch) -> list:
+    """(similarity, token pairs bounded) for each NameTable that align() makes."""
+    asked: list = []
 
-    def recording(self, a, b):
-        asked.setdefault(self, set()).add((a, b))
-        return compare(self, a, b)
+    def recording_table(similarity, floor, bound):
+        pairs: set = set()
+        asked.append((similarity, pairs))
 
-    monkeypatch.setattr(NameTable, "_pair_similarity", recording)
+        def recording(a, b, shared):
+            pairs.add((a, b))
+            return bound(a, b, shared)
+
+        return NameTable(similarity, floor, recording)
+
+    monkeypatch.setattr(aligner, "NameTable", recording_table)
     return asked
 
 
@@ -580,7 +606,7 @@ def test_align_skips_token_pairs_below_the_floor(
 
     monkeypatch.setattr(aligner, "jaro_winkler", recording)
     align(onto_fr, onto_en, dict_translator, cfg, thesaurus)
-    (pairs,) = asked.values()
+    ((_, pairs),) = asked
     assert scored and scored < pairs
 
 
@@ -596,7 +622,7 @@ def test_smith_waterman_table_skips_token_pairs_below_the_floor(
 
     monkeypatch.setattr(aligner, "sw_normalized", recording)
     align(onto_fr, onto_en, dict_translator, MatchConfig("fr", "en", sw_enabled=True), thesaurus)
-    (sw_pairs,) = [pairs for table, pairs in asked.items() if table._similarity is aligner._jw_or_sw]
+    (sw_pairs,) = [pairs for similarity, pairs in asked if similarity is aligner._jw_or_sw]
     assert len(asked) == 2
     assert scored and scored < sw_pairs
 

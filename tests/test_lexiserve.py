@@ -406,6 +406,29 @@ def test_an_unexpected_failure_is_500_and_logged_once(
     assert "Exception occurred" not in capsys.readouterr().err
 
 
+def test_the_listen_backlog_holds_as_many_connections_as_are_served(monkeypatch, idioms_store):
+    # the serving loop is held after its first accept, so every later
+    # connection waits in the listen backlog; one that finds the backlog
+    # full is not accepted by the kernel, and its connect times out
+    release = threading.Event()
+    process_request = lexiserve._Server.process_request
+
+    def held(self, request, client_address):
+        release.wait()
+        process_request(self, request, client_address)
+
+    monkeypatch.setattr(lexiserve._Server, "process_request", held)
+    socks = []
+    with serve(ServiceConfig(), idioms_store) as handle:
+        try:
+            for _ in range(lexiserve.MAX_CONNECTIONS):
+                socks.append(socket.create_connection((handle.host, handle.port), timeout=1))
+        finally:
+            release.set()
+            for sock in socks:
+                sock.close()
+
+
 def test_connection_over_the_cap_is_503_without_a_thread(monkeypatch, idioms_store):
     monkeypatch.setattr(lexiserve, "MAX_CONNECTIONS", 2)
     with serve(ServiceConfig(), idioms_store) as handle:

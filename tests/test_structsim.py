@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     per_call_name_matcher,
     reference_subclass_rule,
+    reference_tree_similarity,
     reference_triple_rule,
     rule_predicates,
 )
@@ -156,6 +157,33 @@ def test_tree_similarity_each_target_used_once():
     tx = WeightedTree(root=None, nodes=[TreeNode("x", 1, 3), TreeNode("x", 2, 2)])
     ty = WeightedTree(root=None, nodes=[TreeNode("x", 1, 3)])
     assert tree_similarity(tx, ty, name_eq) == pytest.approx(3 / 5)
+
+
+_NODE_NAMES = st.sampled_from(["a", "b", "ab", "ba", "c"])
+_TREE_NODES = st.builds(
+    lambda name, level: TreeNode(name, level, LEVEL_WEIGHTS[level - 1]), _NODE_NAMES, st.integers(1, 3)
+)
+_TREES = st.lists(_TREE_NODES, max_size=8).map(lambda nodes: WeightedTree(root=None, nodes=nodes))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TREES, _TREES, st.sets(st.tuples(_NODE_NAMES, _NODE_NAMES)))
+def test_tree_similarity_gives_the_indexed_scores_and_matcher_calls(tx, ty, related):
+    calls: dict[str, list] = {}
+
+    def recording(run):
+        calls[run] = []
+
+        def matcher(a, b):
+            calls[run].append((a, b))
+            return (a, b) in related
+
+        return matcher
+
+    assert tree_similarity(tx, ty, recording("free names")) == reference_tree_similarity(
+        tx, ty, recording("indices")
+    )
+    assert calls["free names"] == calls["indices"]
 
 
 def test_tree_similarity_on_fixture_pair(onto_fr, onto_en, dict_translator):

@@ -207,7 +207,7 @@ def test_frequency_ic_counts_each_descendant_once(rows):
     assert th.ic.keys() == expected.keys()
     for sid, ic in expected.items():
         assert th.ic[sid] == ic or math.isclose(th.ic[sid], ic, rel_tol=1e-9, abs_tol=1e-12)
-    assert not th._ancestors_cache
+    assert th.ancestors_or_self.cache_info().currsize == 0
 
 
 def test_deep_frequency_chain_loads_in_linear_time(tmp_path):
@@ -227,7 +227,7 @@ def test_deep_frequency_chain_loads_in_linear_time(tmp_path):
     # linear pass takes ~0.04 s and peaks at ~2 MB
     assert elapsed < 0.5
     assert peak < 20 * 2**20
-    assert not th._ancestors_cache
+    assert th.ancestors_or_self.cache_info().currsize == 0
     assert th.ic["s0000"] == pytest.approx(-math.log(1 / (depth + 1)))
     assert th.ic[f"s{depth:04d}"] == 0.0
 
