@@ -249,8 +249,7 @@ def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[
     """
     lookups = SimpleNamespace(translate=cache(translator.translate))
     out: dict[str, list[str]] = {}
-    for iri in sorted(o1.entities):
-        entity = o1.entities[iri]
+    for iri, entity in o1.entities.items():
         name = o1.display_name(entity)
         out[iri] = translate_label(name, lookups, cfg.source_lang, cfg.target_lang)
     return out
@@ -374,10 +373,10 @@ def structural_correspondences(
     for j, tree in enumerate(trees2):
         for node in tree.nodes:
             holders.setdefault(node.name, set()).add(j)
-    keys_by_name: dict[str, list[tuple[str, ...]]] = {}
-    for iri, keys in translations.items():
-        name = o1.display_name(o1.entities[iri])
-        keys_by_name.setdefault(name, []).extend(map(table.tokens, keys))
+    keys_by_name = {  # entities named alike have the same keys
+        o1.display_name(o1.entities[iri]): list(map(table.tokens, keys))
+        for iri, keys in translations.items()
+    }
     rights = _by_length((name, table.tokens(name)) for name in holders)
 
     @cache

@@ -73,15 +73,15 @@ RangeTarget = Union[EntityId, str]
 
 @dataclass
 class Ontology:
-    entities: dict[str, EntityId] = field(default_factory=dict)
+    entities: dict[str, EntityId] = field(default_factory=dict)  # in IRI order once loaded
     labels: dict[EntityId, str] = field(default_factory=dict)
     subclass_of: set[tuple[EntityId, EntityId]] = field(default_factory=set)
     domain: dict[EntityId, EntityId] = field(default_factory=dict)
     range: dict[EntityId, RangeTarget] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    # adjacency that load_ontology derives from subclass_of, domain and range
-    subclasses: dict[EntityId, set[EntityId]] = field(default_factory=dict)
-    properties_by_class: dict[EntityId, set[EntityId]] = field(default_factory=dict)
+    # adjacency that load_ontology derives from subclass_of, domain and range, in IRI order
+    subclasses: dict[EntityId, list[EntityId]] = field(default_factory=dict)
+    properties_by_class: dict[EntityId, list[EntityId]] = field(default_factory=dict)
 
     def entity(self, iri: str) -> EntityId:
         try:
@@ -94,28 +94,25 @@ class Ontology:
             raise OntologyError(f"unknown entity: {e.iri}")
         return self.labels.get(e, e.local_name())
 
-    def direct_subclasses(self, c: EntityId) -> set[EntityId]:
+    def direct_subclasses(self, c: EntityId) -> tuple[EntityId, ...]:
         if c.iri not in self.entities:
             raise OntologyError(f"unknown class: {c.iri}")
-        return set(self.subclasses.get(c, ()))
+        return tuple(self.subclasses.get(c, ()))
 
-    def properties_of(self, c: EntityId) -> set[EntityId]:
-        """Properties that have `c` as domain or range."""
+    def properties_of(self, c: EntityId) -> tuple[EntityId, ...]:
+        """Properties that have `c` as domain or range, each once."""
         if c.iri not in self.entities:
             raise OntologyError(f"unknown class: {c.iri}")
-        return set(self.properties_by_class.get(c, ()))
+        return tuple(self.properties_by_class.get(c, ()))
 
     def by_kind(self, kind: Kind) -> list[EntityId]:
-        return sorted((e for e in self.entities.values() if e.kind == kind), key=lambda e: e.iri)
+        return [e for e in self.entities.values() if e.kind == kind]
 
     def classes(self) -> list[EntityId]:
         return self.by_kind(Kind.CLASS)
 
     def properties(self) -> list[EntityId]:
-        return sorted(
-            (e for e in self.entities.values() if e.kind in _PROPERTY_KINDS),
-            key=lambda e: e.iri,
-        )
+        return [e for e in self.entities.values() if e.kind in _PROPERTY_KINDS]
 
 
 _LINE_RE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(<[^<>\s]+>|\"[^\"]*\")\s*\.$")
@@ -218,13 +215,16 @@ def load_ontology(text: str) -> Ontology:
     for entity in onto.entities.values():
         if not onto.display_name(entity):
             raise OntologyError(f"{entity.iri} has an empty name: no label and no local name")
+    onto.entities = dict(sorted(onto.entities.items()))
     parents: dict[str, list[str]] = {}
+    # in (sub, parent) order, so each parent's subclasses come in IRI order
     for sub, parent in sorted(onto.subclass_of, key=lambda edge: (edge[0].iri, edge[1].iri)):
         parents.setdefault(sub.iri, []).append(parent.iri)
-        onto.subclasses.setdefault(parent, set()).add(sub)
-    for prop, target in [*onto.domain.items(), *onto.range.items()]:
-        if isinstance(target, EntityId):
-            onto.properties_by_class.setdefault(target, set()).add(prop)
+        onto.subclasses.setdefault(parent, []).append(sub)
+    for prop in onto.properties():  # in IRI order, and once per class it touches
+        for target in dict.fromkeys((onto.domain.get(prop), onto.range.get(prop))):
+            if isinstance(target, EntityId):
+                onto.properties_by_class.setdefault(target, []).append(prop)
     try:
         TopologicalSorter(parents).prepare()
     except CycleError as exc:

@@ -19,6 +19,11 @@ def jaro(s1: str, s2: str) -> float:
     Matching characters must agree within a window of
     max(floor(max(len)/2) - 1, 0); transpositions are counted as half
     the number of matched characters that disagree in order.
+
+    Each character of s1 takes the first untaken equal character of s2 in
+    its window. A character's matches take its occurrences left to right,
+    so one str.find from a per-character cursor finds it: every occurrence
+    before the cursor is taken or left of every later window.
     """
     if not s1 and not s2:
         return 1.0
@@ -27,15 +32,17 @@ def jaro(s1: str, s2: str) -> float:
     window = max(max(len(s1), len(s2)) // 2 - 1, 0)
 
     taken = [False] * len(s2)
+    cursor: dict[str, int] = {}
     matched1 = []
     for i, ch in enumerate(s1):
-        lo = max(0, i - window)
         hi = min(len(s2), i + window + 1)
-        for j in range(lo, hi):
-            if not taken[j] and s2[j] == ch:
-                taken[j] = True
-                matched1.append(ch)
-                break
+        j = s2.find(ch, max(cursor.get(ch, 0), i - window), hi)
+        if j < 0:
+            cursor[ch] = hi
+            continue
+        cursor[ch] = j + 1
+        taken[j] = True
+        matched1.append(ch)
     m = len(matched1)
     if m == 0:
         return 0.0

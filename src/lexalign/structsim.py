@@ -77,14 +77,12 @@ def expand_tree(onto: Ontology, cls: EntityId) -> WeightedTree:
         next_frontier: list[EntityId] = []
         for item in frontier:
             if item.kind == Kind.CLASS:
-                expansion: list[EntityId] = sorted(
-                    onto.direct_subclasses(item), key=lambda e: e.iri
-                )
+                expansion = onto.direct_subclasses(item)
                 if level == 1:
-                    expansion.extend(sorted(onto.properties_of(item), key=lambda e: e.iri))
+                    expansion += onto.properties_of(item)
             else:
                 target = onto.range.get(item)
-                expansion = [target] if isinstance(target, EntityId) else []
+                expansion = (target,) if isinstance(target, EntityId) else ()
             for entity in expansion:
                 if entity in seen:
                     continue
@@ -171,9 +169,9 @@ def subclass_rule(
         return 1.0 if corresponds(a, b) else 0.0
 
     out: list[tuple[EntityId, EntityId]] = []
-    subclasses2 = [(c2, sorted(o2.direct_subclasses(c2), key=lambda e: e.iri)) for c2 in o2.classes()]
+    subclasses2 = [(c2, o2.direct_subclasses(c2)) for c2 in o2.classes()]
     for c1 in o1.classes():
-        subs1 = sorted(o1.direct_subclasses(c1), key=lambda e: e.iri)
+        subs1 = o1.direct_subclasses(c1)
         if not subs1:
             continue
         for c2, subs2 in subclasses2:

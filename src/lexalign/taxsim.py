@@ -105,7 +105,7 @@ def lexical_match(thesaurus: Thesaurus, w1: str, w2: str) -> float:
     senses2 = thesaurus.word_index.get(w2)
     if not senses1 or not senses2:
         return 0.0
-    return max(jcn_similarity(thesaurus, s1, s2) for s1 in sorted(senses1) for s2 in sorted(senses2))
+    return max(jcn_similarity(thesaurus, s1, s2) for s1 in senses1 for s2 in senses2)
 
 
 def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:

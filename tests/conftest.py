@@ -374,6 +374,37 @@ def reference_frequency_ic(thesaurus: taxsim.Thesaurus, freqs: dict) -> dict:
     }
 
 
+def reference_jaro(s1: str, s2: str) -> float:
+    """Jaro similarity in [0, 1].
+
+    Matching characters must agree within a window of
+    max(floor(max(len)/2) - 1, 0); transpositions are counted as half
+    the number of matched characters that disagree in order.
+    """
+    if not s1 and not s2:
+        return 1.0
+    if not s1 or not s2:
+        return 0.0
+    window = max(max(len(s1), len(s2)) // 2 - 1, 0)
+
+    taken = [False] * len(s2)
+    matched1 = []
+    for i, ch in enumerate(s1):
+        lo = max(0, i - window)
+        hi = min(len(s2), i + window + 1)
+        for j in range(lo, hi):
+            if not taken[j] and s2[j] == ch:
+                taken[j] = True
+                matched1.append(ch)
+                break
+    m = len(matched1)
+    if m == 0:
+        return 0.0
+    matched2 = [s2[j] for j, used in enumerate(taken) if used]
+    transpositions = sum(a != b for a, b in zip(matched1, matched2)) / 2
+    return (m / len(s1) + m / len(s2) + (m - transpositions) / m) / 3
+
+
 @lru_cache(maxsize=None)
 def _global_alignment(a: str, b: str) -> int:
     """Plain recursive Needleman-Wunsch score of two whole strings."""

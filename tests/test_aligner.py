@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -123,6 +124,19 @@ def test_identity_self_alignment(onto_en):
     identity = {(e.iri, e.iri) for e in onto_en.entities.values()}
     assert result.pairs() == identity
     assert all(c.score == 1.0 for c in result)
+
+
+def test_two_long_labels_align_in_under_a_second():
+    def one_class(base, label):
+        return load_ontology(
+            f"<{base}X> <{RDF_TYPE}> <{OWL}Class> .\n<{base}X> <{RDFS}label> \"{label}\" .\n"
+        )
+
+    o1, o2 = one_class("http://example.org/a#", "a" * 20_000), one_class("http://example.org/b#", "a" * 20_000)
+    start = time.perf_counter()
+    result = align(o1, o2, IdentityTranslator(), MatchConfig(source_lang="en", target_lang="en"))
+    assert time.perf_counter() - start < 1.0
+    assert [c.score for c in result] == [1.0]
 
 
 def test_align_through_http_endpoint(onto_fr, onto_en, biblio_store, thesaurus, cfg, full_alignment):

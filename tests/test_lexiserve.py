@@ -4,8 +4,11 @@ import json
 import logging
 import re
 import select
+import selectors
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import IDIOM_ROWS, store_of
 from lexalign import lexiserve
+from lexalign.dictstore import save_snapshot
 from lexalign.labelkit import DictionaryTranslator, EndpointTranslator
 from lexalign.lexiserve import (
     ClientPayloadError,
@@ -196,16 +200,64 @@ def test_sparql_timeout_is_503_and_the_next_request_is_answered():
 TIMEOUT_SLACK_S = 0.5
 
 
+WORDS_300 = {"wiki_text": [[i, f"word {i}"] for i in range(1, 301)]}
+# two disconnected patterns: over WORDS_300, 90,000 rows
+CROSS_PRODUCT = "SELECT ?x1 ?x2 WHERE { ?a1 wikpa:wiki_text_text ?x1 . ?a2 wikpa:wiki_text_text ?x2 . }"
+
+
 def test_sparql_cross_product_is_503_within_the_timeout():
-    store = store_of({"wiki_text": [[i, f"word {i}"] for i in range(1, 301)]})
-    # two disconnected patterns: 90,000 rows
-    text = "SELECT ?x1 ?x2 WHERE { ?a1 wikpa:wiki_text_text ?x1 . ?a2 wikpa:wiki_text_text ?x2 . }"
-    with serve(ServiceConfig(request_timeout_ms=100), store) as handle:
+    with serve(ServiceConfig(request_timeout_ms=100), store_of(WORDS_300)) as handle:
         start = time.monotonic()
         with pytest.raises(ClientStatusError) as err:
-            client_sparql(handle.endpoint, text)
+            client_sparql(handle.endpoint, CROSS_PRODUCT)
         assert time.monotonic() - start < 0.1 + TIMEOUT_SLACK_S
         assert err.value.status == 503
+
+
+def test_64_clients_at_once_each_get_the_timeout_503(tmp_path):
+    # the service runs in a process of its own, so that the clients never
+    # wait for its interpreter lock; the clients are sockets read through
+    # one selector, so the test starts no thread
+    snapshot = tmp_path / "store.json"
+    save_snapshot(store_of(WORDS_300), snapshot)
+    body = CROSS_PRODUCT.encode()
+    request = b"POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    command = [sys.executable, "-m", "lexalign.cli", "serve", str(snapshot)]
+    command += ["--bind", "127.0.0.1:0", "--timeout-ms", "100"]
+    socks = []
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert "serving on http://" in line
+            host, port = line.split("serving on http://", 1)[1].split()[0].rstrip("/").rsplit(":", 1)
+            replies = {}
+            with selectors.DefaultSelector() as selector:
+                for _ in range(lexiserve.MAX_CONNECTIONS):
+                    # sent at once: a connection's first byte must come within the idle timeout
+                    sock = socket.create_connection((host, int(port)), timeout=5)
+                    sock.sendall(request)
+                    socks.append(sock)
+                    replies[sock] = b""
+                    selector.register(sock, selectors.EVENT_READ)
+                deadline = time.monotonic() + 60
+                while selector.get_map() and time.monotonic() < deadline:
+                    for key, _ in selector.select(timeout=1):
+                        chunk = key.fileobj.recv(65536)  # a reset fails the test
+                        replies[key.fileobj] += chunk
+                        head, _, payload = replies[key.fileobj].partition(b"\r\n\r\n")
+                        length = re.search(rb"\r\nContent-Length: (\d+)", head)
+                        if not chunk or (length and len(payload) >= int(length[1])):
+                            selector.unregister(key.fileobj)
+            assert not selector.get_map(), "answers still missing after 60 s"
+            for reply in replies.values():
+                head, _, payload = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 503 "), reply[:200]
+                assert json.loads(payload) == {"error": "query not answered within 100 ms"}
+        finally:
+            for sock in socks:
+                sock.close()
+            proc.terminate()
+            proc.wait(timeout=10)
 
 
 def test_answer_ready_after_the_deadline_is_503(monkeypatch, idioms_store):

@@ -61,6 +61,10 @@ def test_properties_of_revue_includes_articles(onto_fr):
     assert "articles" in names
 
 
+def by_iri(entities):
+    return tuple(sorted(entities, key=lambda e: e.iri))
+
+
 def test_properties_of_matches_brute_scan(onto_fr, onto_en):
     for onto in (onto_fr, onto_en, load_ontology(subclass_chain(3000))):
         subclasses = {cls: set() for cls in onto.classes()}
@@ -70,8 +74,26 @@ def test_properties_of_matches_brute_scan(onto_fr, onto_en):
             expected = {
                 p for p, d in onto.domain.items() if d == cls
             } | {p for p, r in onto.range.items() if r == cls}
-            assert onto.properties_of(cls) == expected
-            assert onto.direct_subclasses(cls) == subclasses[cls]
+            assert onto.properties_of(cls) == by_iri(expected)
+            assert onto.direct_subclasses(cls) == by_iri(subclasses[cls])
+
+
+def test_listings_come_in_iri_order_whatever_the_file_order():
+    triples = [clazz(name) for name in ("Root", "C", "B", "A")]
+    triples += [f"<{EX}{name}> <{SUBCLASS}> <{EX}Root> ." for name in ("C", "B", "A")]
+    for name in ("p3", "p2", "p1"):
+        triples.append(f"<{EX}{name}> <{RDF_TYPE}> <{OWL_OBJ}> .")
+        triples.append(f"<{EX}{name}> <{DOMAIN}> <{EX}Root> .")
+    triples.append(f"<{EX}p2> <{RANGE}> <{EX}Root> .")  # domain and range alike: listed once
+    triples.append(f"<{EX}p3> <{RANGE}> <{EX}A> .")
+    onto = load_ontology(lines(*triples))
+    root, a = onto.entity(EX + "Root"), onto.entity(EX + "A")
+    assert [c.local_name() for c in onto.classes()] == ["A", "B", "C", "Root"]
+    assert [p.local_name() for p in onto.properties()] == ["p1", "p2", "p3"]
+    assert [c.local_name() for c in onto.direct_subclasses(root)] == ["A", "B", "C"]
+    assert [p.local_name() for p in onto.properties_of(root)] == ["p1", "p2", "p3"]
+    assert [p.local_name() for p in onto.properties_of(a)] == ["p3"]
+    assert list(onto.entities) == sorted(onto.entities)
 
 
 def test_direct_subclasses():
@@ -88,7 +110,7 @@ def test_direct_subclasses():
     )
     root = onto.entity(EX + "Root")
     assert {c.local_name() for c in onto.direct_subclasses(root)} == {"A", "B"}
-    assert onto.direct_subclasses(onto.entity(EX + "Leaf")) == set()
+    assert onto.direct_subclasses(onto.entity(EX + "Leaf")) == ()
 
 
 def test_subclass_cycle_is_error():

@@ -54,3 +54,14 @@ def test_only_errors_py_decides_how_an_input_file_is_read():
     ]
     assert not forks, f"read input files through errors.read_text: {forks}"
     assert '"utf-8-sig"' in (ROOT / "src" / "lexalign" / "errors.py").read_text("utf-8")
+
+
+def test_only_ontomodel_py_orders_entities():
+    # load_ontology lists entities, subclasses and properties in IRI order; no reader re-sorts them
+    forks = [
+        f"{path.name}:{line_no}"
+        for path in SOURCES
+        for line_no, line in enumerate(path.read_text("utf-8").split("\n"), start=1)
+        if "lambda e: e.iri" in line
+    ]
+    assert not forks, f"read entities in the order load_ontology gives them: {forks}"

@@ -1,11 +1,12 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_strings, exhaustive_local_alignment
+from conftest import all_strings, exhaustive_local_alignment, reference_jaro
 from lexalign.strsim import (
     SW_MATCH,
     jaro,
@@ -176,6 +177,25 @@ def test_shared_bound_is_never_below_the_shared_count(pair):
     counts1, counts2 = Counter(s1), Counter(s2)
     count = sum(min(counts1[ch], counts2[ch]) for ch in counts1.keys() & counts2.keys())
     assert shared(s1, s2) >= count
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.text(), st.text()), st.tuples(_FEW, _FEW), related_pair()))
+@example(("MARTHA", "MARHTA"))
+@example(("abab", "baba"))
+@example(("aaaaab", "baaaaa"))
+@example(("abcabcabc", "cbacbacba"))
+def test_jaro_equals_the_window_scan(pair):
+    s1, s2 = pair
+    assert jaro(s1, s2) == reference_jaro(s1, s2)
+
+
+def test_jaro_winkler_is_fast_on_long_strings():
+    distinct = "".join(map(chr, range(0x4E00, 0x4E00 + 20_000)))
+    for s1, s2 in (("a" * 20_000, "a" * 20_000), ("ab" * 10_000, "ba" * 10_000), (distinct, distinct[::-1])):
+        start = time.perf_counter()
+        jaro_winkler(s1, s2)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_smith_waterman_scores_a_shared_character():
