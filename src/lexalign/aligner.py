@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .errors import LexalignError, read_text
@@ -243,11 +242,11 @@ def _by_length(named_tokens: Iterable[tuple]) -> dict[int, list[tuple]]:
 def _translated(o1: Ontology, translator: Translator, cfg: MatchConfig) -> dict[str, list[str]]:
     """The matching keys of every left-entity display name; keyed by IRI.
 
-    A word that recurs across labels and tokens, or as the lowercase
-    fallback of another, is looked up once per call; translate_label
-    does not mutate the lists it gets back, so they can be shared.
+    A word that recurs across labels is looked up once per call;
+    translate_label does not mutate the lists it gets back, so they can
+    be shared.
     """
-    lookups = SimpleNamespace(translate=cache(translator.translate))
+    lookups = cache(translator.translate)
     out: dict[str, list[str]] = {}
     for iri, entity in o1.entities.items():
         name = o1.display_name(entity)

@@ -3,18 +3,17 @@
 Ontology labels are frequently concatenated ("dateDePublication",
 "Extrait-Compilation"); tokenize() splits them at lower-to-upper case
 boundaries, hyphens, underscores and spaces. translate_label() returns
-a label's matching keys: the translations of the whole label and of
-each token, trying the original spelling first and the lowercased form
-second, because dictionary headwords are lowercase lemmas. Candidates
-from different tokens are never recombined into new compounds, and
-inflected forms are not reduced to lemmas; both limitations are
-deliberate and covered by tests.
+a label's matching keys: the translations of the whole label, of its
+lowercased form (dictionary headwords are lowercase lemmas) and of each
+token. Candidates from different tokens are never recombined into new
+compounds, and inflected forms are not reduced to lemmas; both
+limitations are deliberate and covered by tests.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 from .dictstore import DictionaryStore
 from .errors import LexalignError, read_text
@@ -59,26 +58,16 @@ def tokenize(label: str) -> list[str]:
     return [w.lower() for w in words if w]
 
 
-def _lookup_with_case_fallback(
-    translator: Translator, word: str, from_lang: str, to_lang: str
-) -> list[str]:
-    candidates = set(translator.translate(word, from_lang, to_lang))
-    lowered = word.lower()
-    if lowered != word:
-        candidates.update(translator.translate(lowered, from_lang, to_lang))
-    return sorted(candidates)
-
-
 def translate_label(
-    label: str, translator: Translator, from_lang: str, to_lang: str
+    label: str, translate: Callable[[str, str, str], list[str]], from_lang: str, to_lang: str
 ) -> list[str]:
-    """The label's matching keys: the candidates for the whole label, then
-    each token's, deduplicated in order of first appearance; the label
-    itself when nothing translates, so that "isbn" still matches exactly."""
-    tokens = tokenize(label)
-    keys = _lookup_with_case_fallback(translator, label, from_lang, to_lang)
-    for token in tokens:
-        keys += _lookup_with_case_fallback(translator, token, from_lang, to_lang)
+    """The label's matching keys: the candidates of the label, of its
+    lowercase form and of each token, deduplicated in order of first
+    appearance; the label itself when nothing translates, so that "isbn"
+    still matches exactly. `translate` has the signature of
+    `Translator.translate`, and each distinct word is looked up once."""
+    words = dict.fromkeys([label, label.lower(), *tokenize(label)])
+    keys = [key for word in words for key in translate(word, from_lang, to_lang)]
     return list(dict.fromkeys(keys)) or [label]
 
 

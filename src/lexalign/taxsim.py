@@ -4,10 +4,10 @@ The file format is TSV with columns
 
     synset_id    word1|word2|...    hypernym_id1|...    value    mode    [gloss]
 
-where mode is "freq" or "ic" and must be the same on every row. In freq
-mode each synset's count is propagated to all of its ancestors and
-IC(s) = -ln(cum(s) / cum(root)); freq mode therefore requires a single
-root. In ic mode the column is taken as the information content
+where mode is "freq" or "ic" and must be the same on every row; the
+optional gloss column is ignored. In freq mode each synset's count is
+propagated to all of its ancestors and IC(s) = -ln(cum(s) / cum(root));
+freq mode therefore requires a single root. In ic mode the column is taken as the information content
 directly. Either way the result must satisfy IC(root) = 0 and
 IC(child) >= IC(parent) along every hypernym edge.
 """
@@ -37,7 +37,6 @@ class Synset:
     id: str
     words: frozenset[str]
     hypernyms: tuple[str, ...]
-    gloss: str = ""
 
 
 class Thesaurus:
@@ -119,7 +118,6 @@ def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
         if len(cells) not in (5, 6):
             raise ThesaurusError(f"{path.name}:{line_no}: expected 5 or 6 columns, got {len(cells)}")
         synset_id, words_cell, hypernyms_cell, value_cell, row_mode = cells[:5]
-        gloss = cells[5] if len(cells) == 6 else ""
         if row_mode not in ("freq", "ic"):
             raise ThesaurusError(f"{path.name}:{line_no}: mode must be 'freq' or 'ic'")
         if mode is None:
@@ -138,7 +136,7 @@ def _parse_rows(path: Path) -> tuple[list[tuple[int, Synset, float]], str]:
             ) from None
         if math.isnan(value) or (mode == "freq" and math.isinf(value)):
             raise ThesaurusError(f"{path.name}:{line_no}: {mode} value out of range: {value_cell!r}")
-        rows.append((line_no, Synset(synset_id, words, hypernyms, gloss), value))
+        rows.append((line_no, Synset(synset_id, words, hypernyms), value))
     if mode is None:
         raise ThesaurusError(f"{path.name}: empty thesaurus")
     return rows, mode

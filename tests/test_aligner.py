@@ -19,7 +19,7 @@ from conftest import (
     reference_greedy_one_to_one,
     rule_predicates,
 )
-from lexalign import aligner, dictstore, labelkit, structsim, taxsim
+from lexalign import aligner, dictstore, labelkit, lexiserve, structsim, taxsim, triplemap
 from lexalign.aligner import (
     Alignment,
     AlignerError,
@@ -195,26 +195,35 @@ class CountingTranslator:
         return self.inner.translate(word, from_lang, to_lang)
 
 
+@pytest.mark.parametrize("left", ["biblio", "shared-words"])
 def test_align_looks_up_each_word_once_per_run(
-    monkeypatch, onto_fr, onto_en, dict_translator, thesaurus, cfg
+    monkeypatch, left, onto_fr, onto_en, dict_translator, thesaurus, cfg
 ):
+    o1 = onto_fr
+    if left == "shared-words":  # two labels that share the words "date" and "de"
+        o1 = load_ontology("".join(
+            f"<http://example.org/d#{name}> <{RDF_TYPE}> <{OWL}Class> .\n"
+            f"<http://example.org/d#{name}> <{RDFS}label> \"{name}\" .\n"
+            for name in ("dateDePublication", "dateDeCreation")
+        ))
     memoized = CountingTranslator(dict_translator)
-    with_memo = align(onto_fr, onto_en, memoized, cfg, thesaurus)
+    with_memo = align(o1, onto_en, memoized, cfg, thesaurus)
     assert memoized.calls and max(memoized.calls.values()) == 1
 
     def per_call_translated(o1, translator, cfg):
         return {
             iri: aligner.translate_label(
-                o1.display_name(o1.entities[iri]), translator, cfg.source_lang, cfg.target_lang
+                o1.display_name(o1.entities[iri]), translator.translate, cfg.source_lang, cfg.target_lang
             )
             for iri in sorted(o1.entities)
         }
 
     monkeypatch.setattr(aligner, "_translated", per_call_translated)
     per_call = CountingTranslator(dict_translator)
-    assert align(onto_fr, onto_en, per_call, cfg, thesaurus) == with_memo
+    assert align(o1, onto_en, per_call, cfg, thesaurus) == with_memo
     assert set(per_call.calls) == set(memoized.calls)
-    assert sum(per_call.calls.values()) > len(per_call.calls)  # the memo saves lookups here
+    if left == "shared-words":  # the memo saves the lookups of words shared across labels
+        assert sum(per_call.calls.values()) > len(per_call.calls)
 
 
 def test_alignment_is_one_to_one(full_alignment):
@@ -658,6 +667,39 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     assert [dict(vars(module)) for module in namespaces] == before
 
 
+def test_benchmark_finds_every_name_it_patches_outside_the_aligner(
+    monkeypatch, idioms_store, translation_query_text
+):
+    # perfbench/run.py wraps the client calls and calls to_triples, and
+    # perfbench/timed_serve.py replaces the evaluate that the /sparql
+    # handler looks up in lexiserve; a rename should fail here too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer, instrument_lookups
+
+    namespaces = (labelkit, lexiserve, triplemap)
+    before = [dict(vars(module)) for module in namespaces]
+    tracer = Tracer()
+    try:
+        instrument_lookups(
+            tracer,
+            labelkit,
+            {"client_translate": "translations", "client_reverse_translate": "reverse_translations"},
+            "lexiserve.request",
+            "lexiserve.requests",
+            first=1,
+        )
+        tracer.wrap_span(lexiserve, "client_sparql", "lexiserve.request", count="lexiserve.requests")
+        tracer.wrap_span(lexiserve, "evaluate", "sparqlet.evaluate", count="sparqlet.evaluations")
+        assert callable(triplemap.to_triples)
+        with lexiserve.serve(lexiserve.ServiceConfig(port=0), idioms_store) as handle:
+            labelkit.EndpointTranslator(handle.endpoint).translate("cat", "en", "fr")
+            lexiserve.client_sparql(handle.endpoint, translation_query_text)
+        assert tracer.counts == {"lexiserve.requests": 3, "sparqlet.evaluations": 1}
+    finally:
+        tracer.restore()
+    assert [dict(vars(module)) for module in namespaces] == before
+
+
 def test_a_traced_align_reports_every_layer(monkeypatch, onto_fr, onto_en, thesaurus, cfg):
     # a stage that stops going through the name the benchmark wraps
     # reads 0 here, not only in a traced benchmark run
@@ -782,6 +824,15 @@ def test_read_rejects_malformed_line(tmp_path):
     path.write_text("a\tb\n", "utf-8")
     with pytest.raises(AlignmentFormatError, match="expected 3 columns"):
         read_alignment(path)
+
+
+@pytest.mark.parametrize("score", ["none", "", "0,5"])
+def test_read_rejects_a_score_that_is_not_a_number(tmp_path, score):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"{FR}Film\t{EN}Movie\t1.0\n{FR}Livre\t{EN}Book\t{score}\n", "utf-8")
+    with pytest.raises(AlignmentFormatError) as err:
+        read_alignment(path)
+    assert str(err.value) == f"bad.tsv:2: score is not a number: {score!r}"
 
 
 def test_read_rejects_unknown_entity(tmp_path, onto_fr, onto_en):

@@ -610,6 +610,27 @@ def test_translate_through_endpoint(capsys, biblio_store):
     assert out.splitlines() == ["cinema", "film", "flick", "motion picture", "movie"]
 
 
+@pytest.mark.parametrize("options, count", [([], 8), (["--no-structure"], 7)], ids=["structure", "no-structure"])
+def test_match_through_an_endpoint_writes_what_match_on_the_store_writes(
+    tmp_path, capsys, biblio_store, options, count
+):
+    from lexalign.lexiserve import ServiceConfig, serve
+
+    inputs = [
+        "match", str(FIXTURES / "biblio_fr.nt"), str(FIXTURES / "biblio_en.nt"),
+        "--thesaurus", str(FIXTURES / "mini_thesaurus_ic.tsv"), *options, *MATCH_OPTIONS,
+    ]
+    local, served = tmp_path / "local.tsv", tmp_path / "served.tsv"
+    assert run(capsys, *inputs, str(local), "--store", str(FIXTURES / "biblio_dict")) == (
+        0, f"wrote {count} correspondences to {local}\n", ""
+    )
+    with serve(ServiceConfig(port=0), biblio_store) as handle:
+        assert run(capsys, *inputs, str(served), "--endpoint", handle.endpoint) == (
+            0, f"wrote {count} correspondences to {served}\n", ""
+        )
+    assert served.read_bytes() == local.read_bytes()
+
+
 # what serving never needs: the aligner and its stages, and TLS
 _NOT_FOR_SERVING = (
     "lexalign.aligner",

@@ -104,6 +104,15 @@ def test_malformed_line_reports_file_and_line(tmp_path):
         ingest_tables(tmp_path)
 
 
+@pytest.mark.parametrize("text, line_no", [("1\tok\n\n2\tno\n", 2), ("\n1\tok\n", 1), ("1\tok\n\n", 2)])
+def test_a_blank_line_in_a_table_is_refused_with_its_line(tmp_path, text, line_no):
+    _write_tables(tmp_path, {"language": [(1, "en", "English")]})
+    (tmp_path / "page.tsv").write_text(text, "utf-8")
+    with pytest.raises(IngestError) as err:
+        ingest_tables(tmp_path)
+    assert str(err.value) == f"page.tsv:{line_no}: blank line"
+
+
 def test_dangling_wiki_text_names_the_row(tmp_path):
     _write_tables(
         tmp_path,

@@ -65,23 +65,39 @@ def test_tokenize_idempotent_on_its_output():
 
 
 def test_translate_label_universite(dict_translator):
-    assert translate_label("Université", dict_translator, "fr", "en") == ["school", "university"]
+    keys = translate_label("Université", dict_translator.translate, "fr", "en")
+    assert keys == ["school", "university"]
 
 
 def test_translate_label_nomcourt_no_recombination(dict_translator):
     assert tokenize("nomCourt") == ["nom", "court"]
     # each token's candidates stand alone: no "short name" is made up
-    keys = translate_label("nomCourt", dict_translator, "fr", "en")
+    keys = translate_label("nomCourt", dict_translator.translate, "fr", "en")
     assert keys == ["name", "noun", "court", "short"]
 
 
 def test_translate_label_fallback(dict_translator):
-    assert translate_label("isbn", dict_translator, "fr", "en") == ["isbn"]
+    assert translate_label("isbn", dict_translator.translate, "fr", "en") == ["isbn"]
+
+
+def test_translate_label_asks_each_distinct_word_of_a_label_once(dict_translator):
+    asked = []
+
+    def translate(word, from_lang, to_lang):
+        asked.append(word)
+        return dict_translator.translate(word, from_lang, to_lang)
+
+    # the label, its lowercase form and its one token: the last two are one word
+    assert translate_label("Université", translate, "fr", "en") == ["school", "university"]
+    assert asked == ["Université", "université"]
+    asked.clear()
+    assert translate_label("dateDeDate", translate, "fr", "en")
+    assert asked == ["dateDeDate", "datededate", "date", "de"]
 
 
 def test_translate_label_never_empty(dict_translator):
     for label in ("isbn", "Université", "nomCourt", "zzz-unknown"):
-        assert translate_label(label, dict_translator, "fr", "en")
+        assert translate_label(label, dict_translator.translate, "fr", "en")
 
 
 def test_dictionary_translator_union(biblio_store):
@@ -123,8 +139,8 @@ def test_static_table_rejects_bad_rows(tmp_path):
 
 def test_static_table_drives_translate_label():
     translator = StaticTableTranslator([("fr", "en", "livre", "book")])
-    assert translate_label("Livre", translator, "fr", "en") == ["book"]
-    assert translate_label("Inconnu", translator, "fr", "en") == ["Inconnu"]
+    assert translate_label("Livre", translator.translate, "fr", "en") == ["book"]
+    assert translate_label("Inconnu", translator.translate, "fr", "en") == ["Inconnu"]
 
 
 def test_endpoint_translator_equals_dictionary_translator(biblio_store):

@@ -1183,6 +1183,40 @@ def test_client_meets_a_hostile_server_with_an_error_and_recovers(reply, close, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reply, error, message",
+    [
+        pytest.param(_json_reply(b"[]"), ClientPayloadError, "unexpected JSON shape from {url}", id="200-json-array"),
+        pytest.param(_json_reply(b'"x"'), ClientPayloadError, "unexpected JSON shape from {url}", id="200-json-string"),
+        pytest.param(
+            b"HTTP/1.1 503 Busy Now\r\nContent-Length: 8\r\n\r\nnot json",
+            ClientStatusError,
+            "HTTP 503: Busy Now",
+            id="503-not-json",
+        ),
+        pytest.param(
+            b"HTTP/1.1 404 Gone Away\r\nContent-Length: 2\r\n\r\n[]",
+            ClientStatusError,
+            "HTTP 404: Gone Away",
+            id="404-json-array",
+        ),
+    ],
+)
+def test_client_refusals_name_their_cause(reply, error, message):
+    with _RawServer(reply) as server:
+        url = server.endpoint + "/bad/translate?word=w&from=en&to=fr"
+        with pytest.raises(error) as err:
+            client_translate(server.endpoint + "/bad", "w", "en", "fr")
+    assert str(err.value) == message.format(url=url)
+
+
+@pytest.mark.parametrize("port", ["abc", "80x"])
+def test_client_refuses_an_endpoint_port_that_is_not_a_number(port):
+    endpoint = f"http://127.0.0.1:{port}"
+    with pytest.raises(ClientTransportError, match=re.escape(f"cannot reach {endpoint}: Port ")):
+        client_translate(endpoint, "w", "en", "fr")
+
+
 def test_client_takes_100_header_lines_and_a_64_kib_line():
     most = _OK + b"X-A: " + b"b" * (65536 - 7) + b"\r\n" + b"X-B: c\r\n" * 98 + b"Content-Length: 2\r\n\r\n{}"
     with _RawServer(most) as server:

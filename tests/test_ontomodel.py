@@ -286,3 +286,48 @@ def test_deep_subclass_cycle_is_error():
 def test_subclass_self_loop_is_error():
     with pytest.raises(OntologyError, match=f"cycle: {EX}A -> {EX}A"):
         load_ontology(lines(clazz("A"), f"<{EX}A> <{SUBCLASS}> <{EX}A> ."))
+
+
+def prop(name):
+    return f"<{EX}{name}> <{RDF_TYPE}> <{OWL_OBJ}> ."
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (lines(f'<{EX}A> <{RDF_TYPE}> "Class" .'), "line 1: rdf:type object must be an IRI"),
+        (lines(clazz("A"), f"<{EX}A> <{LABEL}> <{EX}B> ."), "line 2: rdfs:label object must be a literal"),
+        (lines(f"<{EX}A> <{SUBCLASS}> <{EX}B> .", clazz("B")), f"line 1: subClassOf on undeclared class {EX}A"),
+        (lines(prop("p"), f"<{EX}p> <{SUBCLASS}> <{EX}p> ."), f"line 2: subClassOf on undeclared class {EX}p"),
+        (lines(clazz("A"), f"<{EX}A> <{SUBCLASS}> <{EX}B> ."), f"line 2: subClassOf references undeclared class {EX}B"),
+        (lines(clazz("A"), f'<{EX}A> <{SUBCLASS}> "B" .'), "line 2: subClassOf references undeclared class B"),
+        (lines(prop("p"), f"<{EX}p> <{DOMAIN}> <{EX}Ghost> ."), f"line 2: domain references undeclared class {EX}Ghost"),
+        (lines(prop("p"), clazz("A"), f"<{EX}A> <{DOMAIN}> <{EX}A> ."), f"line 3: domain on undeclared property {EX}A"),
+        (lines(clazz("A"), f"<{EX}q> <{RANGE}> <{EX}A> ."), f"line 2: range on undeclared property {EX}q"),
+    ],
+)
+def test_refusals_name_their_line(text, message):
+    with pytest.raises(OntologyError) as err:
+        load_ontology(text)
+    assert str(err.value) == message
+
+
+def test_a_repeated_declaration_of_one_kind_is_accepted_once():
+    onto = load_ontology(lines(clazz("A"), clazz("A"), f'<{EX}A> <{LABEL}> "a" .'))
+    assert list(onto.entities) == [EX + "A"]
+    assert onto.display_name(onto.entity(EX + "A")) == "a"
+    assert onto.warnings == []
+
+
+def test_listings_of_an_unknown_class_are_refused(onto_fr):
+    ghost = EntityId("http://nowhere/#X", Kind.CLASS)
+    with pytest.raises(OntologyError, match=r"^unknown class: http://nowhere/#X$"):
+        onto_fr.direct_subclasses(ghost)
+    with pytest.raises(OntologyError, match=r"^unknown class: http://nowhere/#X$"):
+        onto_fr.properties_of(ghost)
+
+
+def test_an_iri_with_no_separator_is_its_own_local_name():
+    assert EntityId("urn:isbn:0451450523", Kind.CLASS).local_name() == "urn:isbn:0451450523"
+    onto = load_ontology(f"<urn:x> <{RDF_TYPE}> <{OWL_CLASS}> .\n")
+    assert onto.display_name(onto.entity("urn:x")) == "urn:x"

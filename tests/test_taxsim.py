@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import reference_frequency_ic
 from lexalign.taxsim import (
     JCN_MAX,
+    Synset,
     ThesaurusError,
     jcn_similarity,
     lcs,
@@ -339,3 +340,37 @@ def test_deep_hypernym_cycle_rejected(tmp_path):
 def test_hypernym_self_loop_rejected(tmp_path):
     with pytest.raises(ThesaurusError, match="cycle: a -> a"):
         load_thesaurus(write_thesaurus(tmp_path, [("a", "a", "a", "0.0", "ic")]))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([("r", "root", "", "0.0")], "th.tsv:1: expected 5 or 6 columns, got 4"),
+        ([("r", "root", "", "0.0", "ic", "gloss", "more")], "th.tsv:1: expected 5 or 6 columns, got 7"),
+        ([("r", "root", "", "0.0", "IC")], "th.tsv:1: mode must be 'freq' or 'ic'"),
+        ([("r", "root", "", "zero", "ic")], "th.tsv:1: value is not a number: 'zero'"),
+        ([], "th.tsv: empty thesaurus"),
+        ([("#", "a comment")], "th.tsv: empty thesaurus"),
+        ([("r", "root", "", "0.0", "ic"), ("r", "again", "", "0.0", "ic")], "th.tsv:2: duplicate synset id r"),
+        ([("r", "root", "", "0.0", "ic"), ("a", "a", "r", "-0.5", "ic")], "th.tsv: negative IC on a"),
+        ([("r", "root", "", "-1e-13", "ic")], "th.tsv: negative IC on r"),
+    ],
+)
+def test_refusals_name_their_file_and_line(tmp_path, rows, message):
+    with pytest.raises(ThesaurusError) as err:
+        load_thesaurus(write_thesaurus(tmp_path, rows))
+    assert str(err.value) == message
+
+
+def test_jcn_is_capped_for_distinct_synsets_with_a_vanishing_denominator(tmp_path):
+    # b's IC equals its hypernym a's, so IC(a) + IC(b) - 2 * IC(lcs = a) is 0
+    rows = [("r", "root", "", "0.0", "ic"), ("a", "a", "r", "1.0", "ic"), ("b", "b", "a", "1.0", "ic")]
+    th = load_thesaurus(write_thesaurus(tmp_path, rows))
+    assert jcn_similarity(th, "a", "b") == jcn_similarity(th, "b", "a") == JCN_MAX
+
+
+def test_a_gloss_column_loads_and_is_ignored(tmp_path):
+    rows = [("r", "root", "", "0.0", "ic", "the top of it all"), ("a", "a", "r", "1.0", "ic")]
+    th = load_thesaurus(write_thesaurus(tmp_path, rows))
+    assert th.synsets["r"] == Synset("r", frozenset({"root"}), ())
+    assert th.ic == {"r": 0.0, "a": 1.0}
